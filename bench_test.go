@@ -191,17 +191,11 @@ func BenchmarkGateLevelEncryptBatch(b *testing.B) {
 // BenchmarkGateEvalCompiled measures raw compiled-instruction-stream
 // gate-evaluation throughput on the PRESENT three-in-one core: one full
 // combinational pass over the design per iteration, 64 lanes wide. The
-// gate-lanes/sec metric is the simulator's headline number; compare with
-// BenchmarkGateEvalInterpreted for the compiled-vs-interpreted speedup.
+// gate-lanes/sec metric is the simulator's headline number; the
+// compiled-vs-interpreted comparison lives in internal/sim
+// (BenchmarkRandomEval*), next to the test-only reference interpreter.
 func BenchmarkGateEvalCompiled(b *testing.B) {
 	benchGateEval(b, (*sim.Simulator).Eval)
-}
-
-// BenchmarkGateEvalInterpreted is the same pass through the retained
-// reference interpreter (per-cell switch dispatch) — the pre-rewrite
-// baseline the compiled stream is measured against.
-func BenchmarkGateEvalInterpreted(b *testing.B) {
-	benchGateEval(b, (*sim.Simulator).EvalReference)
 }
 
 func benchGateEval(b *testing.B, eval func(*sim.Simulator)) {

@@ -85,10 +85,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	switch cmd {
 	case "submit":
 		return cmdSubmit(ctx, c, rest, stdout, stderr)
-	case "prove":
-		return cmdProve(ctx, c, rest, stdout, stderr)
-	case "leakage":
-		return cmdLeakage(ctx, c, rest, stdout, stderr)
+	case "prove", "leakage":
+		return cmdSubmit(ctx, c, append([]string{"-kind", cmd}, rest...), stdout, stderr)
 	case "plan":
 		return cmdPlan(rest, stdout, stderr)
 	case "get":
@@ -297,129 +295,19 @@ func cmdResults(ctx context.Context, c *client.Client, args []string, stdout, st
 	return service.WriteJSON(stdout, view)
 }
 
-// cmdProve submits a prove job: the daemon runs the formal independence
-// prover over the design's tagged fault points, checkpointing after every
-// (fault location, model) pair. Progress events land at pair granularity,
-// and a daemon killed mid-run resumes from its last completed pair — watch
+// cmdSubmit builds one job request from flags and submits it. Every kind
+// goes through here; `sconectl prove` and `sconectl leakage` are
+// `submit -kind prove` and `submit -kind leakage`. Prove jobs checkpoint
+// after every (fault location, model) pair and leakage jobs after every
+// trace batch, so a daemon killed mid-run resumes where it stopped — watch
 // the resumed job with `sconectl watch` and the resumed counter in `get`.
-func cmdProve(ctx context.Context, c *client.Client, args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("sconectl prove", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	design := cliflags.RegisterDesign(fs)
-	netlistPath := fs.String("netlist", "", "netlist file to upload instead of a synthesised design")
-	models := fs.String("models", "", "comma-separated fault models to prove (default: stuck-at-0,stuck-at-1,bit-flip)")
-	budget := fs.Int("budget", 0, "BDD node budget (0 = prover default)")
-	stream := fs.Bool("stream", false, "follow the job's NDJSON progress stream until it finishes")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
-	req := service.JobRequest{
-		Kind:   service.KindProve,
-		Design: design.DesignSpec(),
-		Prove:  &service.ProveSpec{Budget: *budget},
-	}
-	if *models != "" {
-		for _, m := range strings.Split(*models, ",") {
-			req.Prove.Models = append(req.Prove.Models, strings.TrimSpace(m))
-		}
-	}
-	if *netlistPath != "" {
-		b, err := os.ReadFile(*netlistPath)
-		if err != nil {
-			return err
-		}
-		req.Design = service.DesignSpec{Netlist: string(b)}
-	}
-	st, err := c.Submit(ctx, req)
-	if err != nil {
-		return err
-	}
-	if err := service.WriteJSON(stdout, st); err != nil {
-		return err
-	}
-	if *stream {
-		return streamJob(ctx, c, st.ID, stdout)
-	}
-	return nil
-}
-
-// cmdLeakage submits a leakage job: the daemon runs a fixed-vs-random
-// TVLA evaluation of the design, checkpointing after every trace batch.
-// Progress events land at pair granularity, and a daemon killed
-// mid-evaluation resumes by simulating exactly the remaining batches —
-// the final t-statistics are bit-identical to an uninterrupted run.
-func cmdLeakage(ctx context.Context, c *client.Client, args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("sconectl leakage", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	design := cliflags.RegisterDesign(fs)
-	pairs := fs.Int("pairs", 2048, "fixed/random trace pairs to collect")
-	seed := fs.String("seed", "0x5C09E2021", "evaluation seed")
-	key := fs.String("key", "0x0123456789ABCDEF,0x8421", "cipher key as two comma-separated 64-bit words")
-	powerModel := fs.String("power-model", "hd", "power model: hd (Hamming distance), hw (Hamming weight)")
-	fixedPT := fs.String("fixed-pt", "0x0123456789ABCDEF", "the fixed class's plaintext")
-	withFault := fs.Bool("fault", false, "inject a fault into every run and keep only SIFA-usable traces")
-	sbox := fs.Int("sbox", 13, "faulted S-box index (with -fault)")
-	bit := fs.Int("bit", 2, "faulted S-box input bit (with -fault)")
-	model := fs.String("model", "stuck-at-0", "fault model (with -fault): stuck-at-0, stuck-at-1, bit-flip")
-	branch := fs.String("branch", "actual", "faulted branch (with -fault): actual, redundant")
-	stream := fs.Bool("stream", false, "follow the job's NDJSON progress stream until it finishes")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
-	seedV, err := service.ParseU64(*seed)
-	if err != nil {
-		return err
-	}
-	keyV, err := parseKey(*key)
-	if err != nil {
-		return err
-	}
-	ptV, err := service.ParseU64(*fixedPT)
-	if err != nil {
-		return err
-	}
-	req := service.JobRequest{
-		Kind:   service.KindLeakage,
-		Design: design.DesignSpec(),
-		Leakage: &service.LeakageSpec{
-			Pairs:   *pairs,
-			Seed:    seedV,
-			Key:     keyV,
-			Model:   *powerModel,
-			FixedPT: ptV,
-		},
-	}
-	if *withFault {
-		req.Leakage.Faults = []service.FaultSpec{{
-			Branch: *branch, Sbox: *sbox, Bit: *bit, Model: *model,
-		}}
-	}
-	st, err := c.Submit(ctx, req)
-	if err != nil {
-		return err
-	}
-	if err := service.WriteJSON(stdout, st); err != nil {
-		return err
-	}
-	if *stream {
-		return streamJob(ctx, c, st.ID, stdout)
-	}
-	return nil
-}
-
 func cmdSubmit(ctx context.Context, c *client.Client, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sconectl submit", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	kind := fs.String("kind", "campaign", "job kind: campaign, multifault, dfa, sifa, fta, area, lint, prove, leakage")
 	design := cliflags.RegisterDesign(fs)
 	engine := cliflags.RegisterEngine(fs)
-	netlistPath := fs.String("netlist", "", "netlist file to upload (area/lint jobs)")
+	netlistPath := fs.String("netlist", "", "netlist file to upload (area/lint/prove jobs)")
 	runs := fs.Int("runs", 80000, "campaign: simulated encryptions")
 	seed := fs.String("seed", "0x5C09E2021", "campaign/attack seed")
 	key := fs.String("key", "0x0123456789ABCDEF,0x8421", "cipher key as two comma-separated 64-bit words")
@@ -436,9 +324,14 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string, stdout, std
 	powerModel := fs.String("power-model", "hd", "leakage: power model, hd or hw")
 	fixedPT := fs.String("fixed-pt", "0x0123456789ABCDEF", "leakage: the fixed class's plaintext")
 	withFault := fs.Bool("fault", false, "leakage: inject the -branch/-sbox/-bit/-model fault and keep only SIFA-usable traces")
+	models := fs.String("models", "", "prove: comma-separated fault models to prove (default: stuck-at-0,stuck-at-1,bit-flip)")
+	budget := fs.Int("budget", 0, "prove: BDD node budget (0 = prover default)")
 	stream := fs.Bool("stream", false, "follow the job's NDJSON progress stream until it finishes")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 
 	seedV, err := service.ParseU64(*seed)
@@ -513,8 +406,15 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string, stdout, std
 				Branch: *branch, Sbox: *sbox, Bit: *bit, Model: *model,
 			}}
 		}
-	case service.KindArea, service.KindLint, service.KindProve:
-		// Design-only kinds; `sconectl prove` exposes the prove knobs.
+	case service.KindProve:
+		req.Prove = &service.ProveSpec{Budget: *budget}
+		if *models != "" {
+			for _, m := range strings.Split(*models, ",") {
+				req.Prove.Models = append(req.Prove.Models, strings.TrimSpace(m))
+			}
+		}
+	case service.KindArea, service.KindLint:
+		// Design-only kinds.
 	default:
 		return fmt.Errorf("unknown job kind %q", *kind)
 	}

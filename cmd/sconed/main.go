@@ -24,9 +24,8 @@
 // immediate reassignment and leaves the registry.
 //
 // GET /v1/metrics serves the full observability registry — service,
-// simulator, fault-campaign and prover families — in Prometheus text format (legacy
-// JSON with Accept: application/json); the unversioned /metrics and
-// /healthz aliases answer with a Deprecation header. With -pprof the Go
+// simulator, fault-campaign and prover families — in Prometheus text format
+// (the JSON snapshot with Accept: application/json). With -pprof the Go
 // runtime profiles are exposed under /debug/pprof/.
 package main
 

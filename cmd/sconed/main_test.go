@@ -49,7 +49,7 @@ func TestDaemonServesAndDrains(t *testing.T) {
 	base, cancel, errCh := startDaemon(t)
 	defer cancel()
 
-	resp, err := http.Get(base + "/healthz")
+	resp, err := http.Get(base + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,9 +58,9 @@ func TestDaemonServesAndDrains(t *testing.T) {
 		t.Fatalf("healthz: %s", resp.Status)
 	}
 
-	// Default /metrics is Prometheus text and carries all three layers'
+	// Default /v1/metrics is Prometheus text and carries all three layers'
 	// families (the daemon wires sim and fault onto the service registry).
-	resp, err = http.Get(base + "/metrics")
+	resp, err = http.Get(base + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +82,8 @@ func TestDaemonServesAndDrains(t *testing.T) {
 		}
 	}
 
-	// Legacy JSON snapshot stays available via content negotiation.
-	req, err := http.NewRequest(http.MethodGet, base+"/metrics", nil)
+	// The JSON snapshot stays available via content negotiation.
+	req, err := http.NewRequest(http.MethodGet, base+"/v1/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestDaemonPprofFlag(t *testing.T) {
 		t.Fatalf("pprof cmdline: %s", resp.Status)
 	}
 	// The API must still be reachable through the wrapping mux.
-	resp, err = http.Get(base + "/healthz")
+	resp, err = http.Get(base + "/v1/healthz")
 	if err != nil {
 		cancel()
 		t.Fatal(err)

@@ -4,7 +4,7 @@
 //	norand         forbid math/rand outside _test.go and internal/rng
 //	cachedcompile  forbid direct sim.Compile outside internal/sim
 //	ctxexecute     forbid context-free .Execute( in internal/service and
-//	               cmd/sconed (use ExecuteContext/ExecuteBatches)
+//	               cmd/sconed (use ExecuteBatchesFunc)
 //	enginecfg      forbid direct engine construction (sim.NewEngine,
 //	               core.NewWideRunnerFrom) outside internal/sim,
 //	               internal/core and internal/fault (configure
@@ -13,8 +13,6 @@
 //	               registration sites
 //	provebudget    forbid bare bdd.New in internal/lint and internal/prove
 //	               (use bdd.NewWithBudget + bdd.Guarded)
-//	v1routes       require /v1/ route patterns in internal/service outside
-//	               the legacy-alias shim http_legacy.go
 //
 // Usage:
 //

@@ -50,7 +50,7 @@ func TestExecuteBatchesFuncPerBatchResults(t *testing.T) {
 
 	// Replaying the per-batch results must reproduce the aggregate of a
 	// fresh single-worker execution: the determinism contract batch-wise.
-	ref, err := camp.ExecuteBatches(context.Background(), 0, camp.NumBatches(), nil)
+	ref, err := camp.ExecuteBatchesFunc(context.Background(), 0, camp.NumBatches(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ type Campaign struct {
 	Persistent *PersistentFault
 
 	// persistentDesign memoises the corrupted rebuild across chunked
-	// ExecuteBatches calls of one job.
+	// ExecuteBatchesFunc calls of one job.
 	persistentDesign *core.Design
 }
 
@@ -152,7 +152,7 @@ func (c *Campaign) EngineID() string {
 // NumBatches returns the number of sim.Lanes-wide batches the campaign is
 // split into. Batch b derives all of its randomness from (Seed, b), so any
 // contiguous batch range can be executed — or re-executed — independently
-// with ExecuteBatches and the combined counts and observer stream are
+// with ExecuteBatchesFunc and the combined counts and observer stream are
 // identical to a single uninterrupted Execute.
 func (c *Campaign) NumBatches() int {
 	return (c.Runs + sim.Lanes - 1) / sim.Lanes
@@ -168,23 +168,15 @@ func (c *Campaign) BatchRuns(b int) int {
 	return n
 }
 
-// Execute runs the campaign. observe, when non-nil, is called once per run
-// from the calling goroutine, in a deterministic order given the seed:
-// batch by batch, lane by lane, regardless of how the batches were
-// scheduled across workers. Without an observer the workers aggregate
-// outcome counts directly and no Run is retained, so memory stays flat no
-// matter how large the campaign is.
+// Execute runs the whole campaign to completion: ExecuteBatchesFunc over
+// every batch, with no cancellation and no per-batch hook. observe, when
+// non-nil, is called once per run from the calling goroutine, in a
+// deterministic order given the seed: batch by batch, lane by lane,
+// regardless of how the batches were scheduled across workers. Without an
+// observer the workers aggregate outcome counts directly and no Run is
+// retained, so memory stays flat no matter how large the campaign is.
 func (c *Campaign) Execute(observe func(Run)) (Result, error) {
-	return c.ExecuteContext(context.Background(), observe)
-}
-
-// ExecuteContext is Execute with cancellation: between batches the workers
-// watch ctx and exit early once it is done. On cancellation the counts (and
-// observer stream) of a contiguous prefix of batches are returned together
-// with ctx.Err(); a later ExecuteBatches from the next batch boundary
-// continues the campaign with bit-identical final results.
-func (c *Campaign) ExecuteContext(ctx context.Context, observe func(Run)) (Result, error) {
-	return c.ExecuteBatches(ctx, 0, c.NumBatches(), observe)
+	return c.ExecuteBatchesFunc(context.Background(), 0, c.NumBatches(), observe, nil)
 }
 
 // batchOut carries one finished batch from a worker to the reorder buffer.
@@ -194,30 +186,27 @@ type batchOut struct {
 	res   Result
 }
 
-// ExecuteBatches runs the half-open batch range [first, last) of the
-// campaign. It is the checkpoint/resume primitive: a service that persists
+// ExecuteBatchesFunc is the campaign's one execution entry point: it runs
+// the half-open batch range [first, last) under ctx with two optional
+// hooks. It is the checkpoint/resume primitive: a service that persists
 // (completed-batch count, accumulated counts) after each call can be killed
 // and later resume from the recorded boundary, and the summed Result is
 // bit-identical to an uninterrupted Execute with the same seed.
 //
+// observe, when non-nil, sees every run in Execute's deterministic order.
+// onBatch, when non-nil, is called from the calling goroutine once per
+// completed batch, in batch order, with that batch's own Result — the result
+// store's feed, so a caller can persist each batch tally under its content
+// address.
+//
 // The returned Result covers a contiguous prefix of the range: batches are
 // handed to workers in order and a dispatched batch always runs to
-// completion, so cancellation can only trim whole batches off the tail.
-// When the range is cut short the partial Result is returned with ctx.Err();
-// Result.Total / sim.Lanes then gives the number of completed batches
-// (every completed batch is full, because only the campaign's final batch
-// can be partial and it is always the last to complete).
-func (c *Campaign) ExecuteBatches(ctx context.Context, first, last int, observe func(Run)) (Result, error) {
-	return c.ExecuteBatchesFunc(ctx, first, last, observe, nil)
-}
-
-// ExecuteBatchesFunc is ExecuteBatches with a per-batch hook: onBatch, when
-// non-nil, is called from the calling goroutine once per completed batch, in
-// batch order, with that batch's own Result. It is the result store's feed —
-// a caller can persist each batch tally under its content address while the
-// aggregate Result and observer stream stay exactly those of ExecuteBatches.
-// Like observe, onBatch sees a contiguous prefix of the range on
-// cancellation.
+// completion, so cancellation can only trim whole batches off the tail, and
+// observe and onBatch see exactly that prefix. When the range is cut short
+// the partial Result is returned with ctx.Err(); Result.Total / sim.Lanes
+// then gives the number of completed batches (every completed batch is full,
+// because only the campaign's final batch can be partial and it is always
+// the last to complete).
 func (c *Campaign) ExecuteBatchesFunc(ctx context.Context, first, last int, observe func(Run), onBatch func(batch int, res Result)) (Result, error) {
 	if c.Runs <= 0 {
 		return Result{}, fmt.Errorf("fault: campaign needs a positive run count")

@@ -39,7 +39,7 @@ func TestExecuteBatchesSplitMatchesFullRun(t *testing.T) {
 	for _, cut := range []int{0, 1, batches / 2, batches - 1, batches} {
 		var sum Result
 		for _, rng := range [][2]int{{0, cut}, {cut, batches}} {
-			res, err := camp.ExecuteBatches(context.Background(), rng[0], rng[1], nil)
+			res, err := camp.ExecuteBatchesFunc(context.Background(), rng[0], rng[1], nil, nil)
 			if err != nil {
 				t.Fatalf("range %v: %v", rng, err)
 			}
@@ -64,7 +64,7 @@ func TestExecuteBatchesObserverStream(t *testing.T) {
 	cut := camp.NumBatches() / 2
 	var split []Run
 	for _, rng := range [][2]int{{0, cut}, {cut, camp.NumBatches()}} {
-		if _, err := camp.ExecuteBatches(context.Background(), rng[0], rng[1], func(r Run) { split = append(split, r) }); err != nil {
+		if _, err := camp.ExecuteBatchesFunc(context.Background(), rng[0], rng[1], func(r Run) { split = append(split, r) }, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,12 +90,12 @@ func TestExecuteContextCancelAndResume(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	seen := 0
-	partial, err := camp.ExecuteContext(ctx, func(r Run) {
+	partial, err := camp.ExecuteBatchesFunc(ctx, 0, camp.NumBatches(), func(r Run) {
 		seen++
 		if seen == sim.Lanes { // after the first full batch
 			cancel()
 		}
-	})
+	}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -107,7 +107,7 @@ func TestExecuteContextCancelAndResume(t *testing.T) {
 	}
 
 	resumeFrom := partial.Total / sim.Lanes
-	rest, err := camp.ExecuteBatches(context.Background(), resumeFrom, camp.NumBatches(), nil)
+	rest, err := camp.ExecuteBatchesFunc(context.Background(), resumeFrom, camp.NumBatches(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestExecuteContextPreCancelled(t *testing.T) {
 	camp := contextCampaign(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := camp.ExecuteContext(ctx, nil)
+	res, err := camp.ExecuteBatchesFunc(ctx, 0, camp.NumBatches(), nil, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -138,7 +138,7 @@ func TestExecuteContextPreCancelled(t *testing.T) {
 func TestExecuteBatchesRejectsBadRange(t *testing.T) {
 	camp := contextCampaign(t, 1)
 	for _, rng := range [][2]int{{-1, 2}, {0, camp.NumBatches() + 1}, {3, 2}} {
-		if _, err := camp.ExecuteBatches(context.Background(), rng[0], rng[1], nil); err == nil {
+		if _, err := camp.ExecuteBatchesFunc(context.Background(), rng[0], rng[1], nil, nil); err == nil {
 			t.Errorf("range %v accepted", rng)
 		}
 	}

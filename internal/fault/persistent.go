@@ -43,7 +43,7 @@ func (p PersistentFault) Validate(d *core.Design) error {
 // synthesis into the compiled simulator — no injector involvement, so the
 // injector purity contract is untouched — while Campaign.Design keeps the
 // clean spec the classification references. The rebuild is memoised so
-// chunked ExecuteBatches calls compile it once.
+// chunked ExecuteBatchesFunc calls compile it once.
 func (c *Campaign) simDesign() (*core.Design, error) {
 	if c.Persistent == nil {
 		return c.Design, nil

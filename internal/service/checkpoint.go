@@ -12,14 +12,13 @@ import (
 	"repro/internal/stats"
 )
 
-// Checkpoint is the durable mid-flight state of a campaign job. Because
-// campaign batch b draws all randomness from (seed, b), the pair
-// (NextBatch, Counts) is sufficient to resume: re-running batches
-// [NextBatch, NumBatches) and adding the counts reproduces an
-// uninterrupted run bit for bit. Prove jobs checkpoint through the Prove
-// field, multifault jobs through the MultiFault field and leakage jobs
-// through the Leakage field instead; at most one of the four shapes is
-// ever populated.
+// Checkpoint is the durable mid-flight state of a job: what its kind
+// commits at a unit boundary and resumes from. A campaign job fills
+// NextBatch and Counts — because campaign batch b draws all randomness from
+// (seed, b), re-running batches [NextBatch, NumBatches) and adding the
+// counts reproduces an uninterrupted run bit for bit. Prove, multifault and
+// leakage jobs fill their own field instead; at most one shape is ever
+// populated, and the one-shot kinds never checkpoint.
 type Checkpoint struct {
 	NextBatch  int                   `json:"next_batch"`
 	Counts     CampaignResult        `json:"counts"`
@@ -62,7 +61,7 @@ type LeakageCheckpoint struct {
 
 // jobRecord is the on-disk form of a job: the full request (jobs are
 // defined by their requests — the determinism contract), lifecycle state
-// and, for campaigns, the latest checkpoint.
+// and, for the checkpointing kinds, the latest checkpoint.
 type jobRecord struct {
 	ID         string      `json:"id"`
 	Req        JobRequest  `json:"request"`

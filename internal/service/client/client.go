@@ -2,8 +2,7 @@
 // a thin shell around it and the e2e suite drives the daemon through it,
 // so the client is exercised against every response shape the server can
 // produce. All traffic goes over the versioned /v1 surface with the typed
-// error envelope; the unversioned legacy aliases exist only for pre-v1
-// deployments and are never used here.
+// error envelope.
 package client
 
 import (
@@ -121,32 +120,11 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
-// apiError decodes both error envelopes: the /v1 typed form
-// {"error":{"code","message"}} and the legacy flat {"error":"message"}.
-type apiError struct {
-	Error json.RawMessage `json:"error"`
-}
-
-func (a apiError) body() (code, msg string) {
-	if len(a.Error) == 0 {
-		return "", ""
-	}
-	var eb service.ErrorBody
-	if json.Unmarshal(a.Error, &eb) == nil && (eb.Code != "" || eb.Message != "") {
-		return eb.Code, eb.Message
-	}
-	var s string
-	if json.Unmarshal(a.Error, &s) == nil {
-		return "", s
-	}
-	return "", ""
-}
-
 // Error is a non-2xx daemon response.
 type Error struct {
 	StatusCode int
 	// Code is the typed envelope code ("not_found", "queue_full", ...);
-	// empty on legacy flat-envelope responses.
+	// empty on responses without the envelope (e.g. an unrouted path).
 	Code    string
 	Message string
 }
@@ -176,14 +154,14 @@ func (e *Error) Is(target error) bool {
 }
 
 func responseError(resp *http.Response) *Error {
-	var ae apiError
-	code, msg := "", resp.Status
-	if json.NewDecoder(resp.Body).Decode(&ae) == nil {
-		if c, m := ae.body(); m != "" {
-			code, msg = c, m
-		}
+	var env struct {
+		Error service.ErrorBody `json:"error"`
 	}
-	return &Error{StatusCode: resp.StatusCode, Code: code, Message: msg}
+	e := &Error{StatusCode: resp.StatusCode, Message: resp.Status}
+	if json.NewDecoder(resp.Body).Decode(&env) == nil && env.Error.Message != "" {
+		e.Code, e.Message = env.Error.Code, env.Error.Message
+	}
+	return e
 }
 
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {

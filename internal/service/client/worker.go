@@ -2,7 +2,7 @@ package client
 
 // Worker is the pull side of the distributed campaign fabric: it joins a
 // coordinator, heartbeats, and executes batch-range leases through
-// fault.Campaign.ExecuteBatches. Because every batch derives its
+// fault.Campaign.ExecuteBatchesFunc. Because every batch derives its
 // randomness from (seed, batch), a worker is stateless and expendable — a
 // killed worker's lease simply expires and another worker recomputes the
 // identical counts, so the coordinator's merged result never depends on

@@ -3,7 +3,7 @@ package service
 // Distributed campaign fabric: the coordinator side. A campaign job on a
 // coordinator (Config.Dist.Enabled) is not executed in-process; it is split
 // into batch-range *leases* that worker processes (sconed -worker) pull
-// over HTTP, execute via fault.Campaign.ExecuteBatches, and report back.
+// over HTTP, execute via fault.Campaign.ExecuteBatchesFunc, and report back.
 // Because batch b of a campaign derives all randomness from (seed, b), a
 // lease is location-transparent: any worker, any number of retries, any
 // interleaving — the counts for a batch range are always the same, so the
@@ -22,12 +22,13 @@ package service
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -173,7 +174,7 @@ type AcquireRequest struct {
 
 // LeaseGrant is a granted lease: the full campaign request plus the batch
 // range this worker executes. The worker builds the identical campaign
-// and runs ExecuteBatches(FirstBatch, LastBatch).
+// and runs ExecuteBatchesFunc over [FirstBatch, LastBatch).
 type LeaseGrant struct {
 	LeaseID    string       `json:"lease_id"`
 	JobID      string       `json:"job_id"`
@@ -235,17 +236,11 @@ type completedRange struct {
 	replayedBatches int
 }
 
-// distJob is the coordinator-side state of one distributed campaign job.
+// distJob is the coordinator-side state of one distributed campaign.
 type distJob struct {
-	id      string
-	req     JobRequest
-	batches int
-	runs    int // campaign total, for per-batch run counts
-
-	// digest addresses the campaign in the result store; useStore gates
-	// every store interaction (false without a store or on address failure).
-	digest   store.Digest
-	useStore bool
+	// t is the campaign: its request (what grants ship), its batch layout
+	// and its store address.
+	t *campaignTask
 
 	cursor          int // merged contiguous batch prefix
 	acc             CampaignResult
@@ -254,7 +249,7 @@ type distJob struct {
 	completed       map[int]completedRange // firstBatch -> out-of-order results
 	failed          string
 
-	// notify wakes the job goroutine (runCampaignDistributed); it is
+	// notify wakes the job goroutine (executeDistributed); it is
 	// capacity-1 and sends never block, so the coordinator can signal
 	// while holding its mutex.
 	notify chan struct{}
@@ -277,16 +272,6 @@ func (dj *distJob) foldLocked() (advanced bool) {
 		dj.cursor = r.last
 		advanced = true
 	}
-}
-
-// batchRunsOf returns the run count of batch b in a campaign of runs total
-// runs (fault.Campaign.BatchRuns without the campaign value).
-func batchRunsOf(runs, b int) int {
-	n := sim.Lanes
-	if rem := runs - b*sim.Lanes; rem < n {
-		n = rem
-	}
-	return n
 }
 
 // coordinator owns the worker registry and the lease table. It has its own
@@ -319,23 +304,20 @@ func newCoordinator(cfg DistConfig) *coordinator {
 	}
 }
 
-// register creates the lease table for a distributed job, starting from
-// the checkpointed batch cursor. The result store is consulted exactly once
-// per batch: cached batches become pre-completed ranges merged through the
-// same ordered-prefix fold as lease results, and only the uncached gaps are
-// cut into leases — a fully cached resubmission grants zero leases. It arms
-// the notify channel once so the job goroutine immediately observes
+// register creates the lease table for a distributed campaign, starting
+// from the checkpointed batch cursor start with acc the tally of the batches
+// before it. The result store is consulted exactly once per batch: cached
+// batches become pre-completed ranges merged through the same
+// ordered-prefix fold as lease results, and only the uncached gaps are cut
+// into leases — a fully cached resubmission grants zero leases. It arms the
+// notify channel once so the job goroutine immediately observes
 // already-done edge cases (e.g. a fully cached or resumed-at-the-end job).
-func (c *coordinator) register(jobID string, req JobRequest, start, batches int, acc CampaignResult, runs int, digest store.Digest, useStore bool) *distJob {
+func (c *coordinator) register(t *campaignTask, start int, acc CampaignResult) *distJob {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	jobID, batches := t.id, t.camp.NumBatches()
 	dj := &distJob{
-		id:        jobID,
-		req:       req,
-		batches:   batches,
-		runs:      runs,
-		digest:    digest,
-		useStore:  useStore && c.results != nil,
+		t:         t,
 		cursor:    start,
 		acc:       acc,
 		completed: make(map[int]completedRange),
@@ -343,15 +325,8 @@ func (c *coordinator) register(jobID string, req JobRequest, start, batches int,
 	}
 	c.jobs[jobID] = dj
 	var cached []*store.Counts
-	if dj.useStore {
-		cached = make([]*store.Counts, batches-start)
-		for b := start; b < batches; b++ {
-			k := store.BatchKey{Campaign: digest, Batch: b, Runs: batchRunsOf(runs, b)}
-			if cnt, ok := c.results.GetBatch(k); ok {
-				cc := cnt
-				cached[b-start] = &cc
-			}
-		}
+	if t.useStore {
+		cached = cachedBatches(c.results, t, start, batches)
 	}
 	for b := start; b < batches; {
 		if cached != nil && cached[b-start] != nil {
@@ -359,11 +334,7 @@ func (c *coordinator) register(jobID string, req JobRequest, start, batches int,
 			var r completedRange
 			for b < batches && cached[b-start] != nil {
 				cnt := *cached[b-start]
-				r.counts.Total += cnt.Total
-				r.counts.Ineffective += cnt.Ineffective
-				r.counts.Detected += cnt.Detected
-				r.counts.Effective += cnt.Effective
-				r.counts.Corrected += cnt.Corrected
+				accumulateCounts(&r.counts, cnt)
 				r.replayedRuns += cnt.Total
 				r.replayedBatches++
 				b++
@@ -451,7 +422,7 @@ func (c *coordinator) snapshot(jobID string) distProgress {
 		acc:             dj.acc,
 		replayedRuns:    dj.replayedRuns,
 		replayedBatches: dj.replayedBatches,
-		done:            dj.cursor == dj.batches,
+		done:            dj.cursor == dj.t.camp.NumBatches(),
 		failed:          dj.failed,
 	}
 }
@@ -588,8 +559,8 @@ func (c *coordinator) acquire(workerID string) (*LeaseGrant, error) {
 		return &LeaseGrant{
 			LeaseID:    l.id,
 			JobID:      l.jobID,
-			Design:     dj.req.Design,
-			Campaign:   *dj.req.Campaign,
+			Design:     dj.t.req.Design,
+			Campaign:   *dj.t.req.Campaign,
 			FirstBatch: l.first,
 			LastBatch:  l.last,
 			TTLMS:      c.cfg.LeaseTTL.Milliseconds(),
@@ -662,10 +633,10 @@ func (c *coordinator) complete(leaseID string, rep LeaseReport) error {
 	// before merging. The length check rejects malformed reports; PutBatch
 	// itself rejects tallies that contradict an existing record, so a buggy
 	// or malicious worker cannot silently poison the cache.
-	if dj.useStore && len(rep.Batches) == l.last-l.first {
+	if dj.t.useStore && len(rep.Batches) == l.last-l.first {
 		for i, cb := range rep.Batches {
 			bi := l.first + i
-			k := store.BatchKey{Campaign: dj.digest, Batch: bi, Runs: batchRunsOf(dj.runs, bi)}
+			k := store.BatchKey{Campaign: dj.t.digest, Batch: bi, Runs: dj.t.camp.BatchRuns(bi)}
 			_ = c.results.PutBatch(k, storeCounts(cb))
 		}
 	}
@@ -853,7 +824,7 @@ func (c *coordinator) workersInfo() []WorkerInfo {
 			LastSeen:  w.lastSeen,
 		})
 	}
-	sortByID(out, func(w WorkerInfo) string { return w.ID })
+	slices.SortFunc(out, func(a, b WorkerInfo) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -886,15 +857,6 @@ func (c *coordinator) leasesInfo() []LeaseInfo {
 		}
 		out = append(out, li)
 	}
-	sortByID(out, func(l LeaseInfo) string { return l.ID })
+	slices.SortFunc(out, func(a, b LeaseInfo) int { return strings.Compare(a.ID, b.ID) })
 	return out
-}
-
-// sortByID orders wire listings by their zero-padded sequence IDs.
-func sortByID[T any](s []T, id func(T) string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && id(s[j]) < id(s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

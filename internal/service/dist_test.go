@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/store"
+	"repro/internal/fault"
 )
 
 func distReq() JobRequest {
@@ -23,6 +23,14 @@ func distReq() JobRequest {
 			Faults: []FaultSpec{{Sbox: 13, Bit: 2, Model: "stuck-at-0"}},
 		},
 	}
+}
+
+// distTask is a storeless 320-run (5-batch) campaign task over distReq, as
+// the coordinator sees it: the lease table needs the request and the batch
+// layout, never the built design.
+func distTask(id string) *campaignTask {
+	req := distReq()
+	return &campaignTask{id: id, req: req, camp: &fault.Campaign{Runs: req.Campaign.Runs}}
 }
 
 // acquirePoll retries acquire until a grant arrives or a second passes,
@@ -47,7 +55,7 @@ func acquirePoll(t *testing.T, c *coordinator, workerID string) *LeaseGrant {
 
 func TestCoordinatorGrantOrderAndMerge(t *testing.T) {
 	c := newCoordinator(DistConfig{LeaseBatches: 2, LeaseTTL: time.Hour})
-	dj := c.register("j1", distReq(), 0, 5, CampaignResult{}, 320, store.Digest{}, false)
+	dj := c.register(distTask("j1"), 0, CampaignResult{})
 	select {
 	case <-dj.notify:
 	default:
@@ -124,7 +132,7 @@ func TestCoordinatorGrantOrderAndMerge(t *testing.T) {
 
 func TestCoordinatorHeartbeatRenewsAndDrops(t *testing.T) {
 	c := newCoordinator(DistConfig{LeaseBatches: 8, LeaseTTL: time.Hour})
-	c.register("j1", distReq(), 0, 5, CampaignResult{}, 320, store.Digest{}, false)
+	c.register(distTask("j1"), 0, CampaignResult{})
 	w := c.join(JoinRequest{})
 	g := acquirePoll(t, c, w.WorkerID)
 
@@ -155,7 +163,7 @@ func TestCoordinatorHeartbeatRenewsAndDrops(t *testing.T) {
 func TestCoordinatorExpiryReassignsAndConflicts(t *testing.T) {
 	ttl := 40 * time.Millisecond
 	c := newCoordinator(DistConfig{LeaseBatches: 8, LeaseTTL: ttl})
-	c.register("j1", distReq(), 0, 5, CampaignResult{}, 320, store.Digest{}, false)
+	c.register(distTask("j1"), 0, CampaignResult{})
 	w1 := c.join(JoinRequest{Name: "victim"})
 	w2 := c.join(JoinRequest{Name: "survivor"})
 	g1 := acquirePoll(t, c, w1.WorkerID)
@@ -197,7 +205,7 @@ func TestCoordinatorExpiryReassignsAndConflicts(t *testing.T) {
 
 func TestCoordinatorFailureBudgetFailsJob(t *testing.T) {
 	c := newCoordinator(DistConfig{LeaseBatches: 8, LeaseTTL: 40 * time.Millisecond, MaxAttempts: 2})
-	c.register("j1", distReq(), 0, 5, CampaignResult{}, 320, store.Digest{}, false)
+	c.register(distTask("j1"), 0, CampaignResult{})
 	w := c.join(JoinRequest{})
 
 	for attempt := 1; attempt <= 2; attempt++ {
@@ -226,7 +234,7 @@ func TestCoordinatorFailureBudgetFailsJob(t *testing.T) {
 
 func TestCoordinatorLeaveReleasesUncharged(t *testing.T) {
 	c := newCoordinator(DistConfig{LeaseBatches: 8, LeaseTTL: time.Hour})
-	c.register("j1", distReq(), 0, 5, CampaignResult{}, 320, store.Digest{}, false)
+	c.register(distTask("j1"), 0, CampaignResult{})
 	w1 := c.join(JoinRequest{})
 	w2 := c.join(JoinRequest{})
 	g1 := acquirePoll(t, c, w1.WorkerID)
@@ -258,7 +266,7 @@ func TestCoordinatorLeaveReleasesUncharged(t *testing.T) {
 func TestCoordinatorRegisterFromCheckpoint(t *testing.T) {
 	c := newCoordinator(DistConfig{LeaseBatches: 2, LeaseTTL: time.Hour})
 	acc := CampaignResult{Total: 192, Detected: 180, Ineffective: 12}
-	c.register("j1", distReq(), 3, 5, acc, 320, store.Digest{}, false)
+	c.register(distTask("j1"), 3, acc)
 
 	p := c.snapshot("j1")
 	if p.cursor != 3 || p.acc != acc || p.done {
@@ -284,7 +292,7 @@ func TestCoordinatorRegisterFromCheckpoint(t *testing.T) {
 
 func TestCoordinatorDrainingAndNilSafety(t *testing.T) {
 	c := newCoordinator(DistConfig{LeaseBatches: 8, LeaseTTL: time.Hour})
-	c.register("j1", distReq(), 0, 5, CampaignResult{}, 320, store.Digest{}, false)
+	c.register(distTask("j1"), 0, CampaignResult{})
 	w := c.join(JoinRequest{})
 
 	c.setDraining()

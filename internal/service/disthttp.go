@@ -20,7 +20,7 @@ const maxDistRequestBytes = 1 << 20
 
 var errDistDisabled = errors.New("distributed fabric disabled (coordinator started without -dist)")
 
-func (s *Service) registerDistV1(mux *http.ServeMux) {
+func (s *Service) registerDist(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/workers", func(w http.ResponseWriter, r *http.Request) {
 		writeStatus(w, http.StatusOK, map[string]any{"workers": s.Workers()})
 	})
@@ -56,12 +56,12 @@ func decodeDist(r *http.Request, v any) error {
 
 func (s *Service) handleWorkerJoin(w http.ResponseWriter, r *http.Request) {
 	if s.dist == nil {
-		writeV1Error(w, http.StatusBadRequest, CodeInvalidRequest, errDistDisabled)
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, errDistDisabled)
 		return
 	}
 	var req JoinRequest
 	if err := decodeDist(r, &req); err != nil {
-		writeV1Error(w, http.StatusBadRequest, CodeInvalidRequest, err)
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
 	writeStatus(w, http.StatusOK, s.dist.join(req))
@@ -69,18 +69,18 @@ func (s *Service) handleWorkerJoin(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if s.dist == nil {
-		writeV1Error(w, http.StatusBadRequest, CodeInvalidRequest, errDistDisabled)
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, errDistDisabled)
 		return
 	}
 	var req HeartbeatRequest
 	if err := decodeDist(r, &req); err != nil {
-		writeV1Error(w, http.StatusBadRequest, CodeInvalidRequest, err)
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
 	resp, err := s.dist.heartbeat(r.PathValue("id"), req)
 	if err != nil {
 		status, code := errorStatus(err)
-		writeV1Error(w, status, code, err)
+		writeError(w, status, code, err)
 		return
 	}
 	writeStatus(w, http.StatusOK, resp)
@@ -88,12 +88,12 @@ func (s *Service) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) 
 
 func (s *Service) handleWorkerLeave(w http.ResponseWriter, r *http.Request) {
 	if s.dist == nil {
-		writeV1Error(w, http.StatusBadRequest, CodeInvalidRequest, errDistDisabled)
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, errDistDisabled)
 		return
 	}
 	if err := s.dist.leave(r.PathValue("id")); err != nil {
 		status, code := errorStatus(err)
-		writeV1Error(w, status, code, err)
+		writeError(w, status, code, err)
 		return
 	}
 	writeStatus(w, http.StatusOK, map[string]string{"status": "left"})
@@ -104,18 +104,18 @@ func (s *Service) handleWorkerLeave(w http.ResponseWriter, r *http.Request) {
 // the worker then sleeps for the advertised poll interval.
 func (s *Service) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 	if s.dist == nil {
-		writeV1Error(w, http.StatusBadRequest, CodeInvalidRequest, errDistDisabled)
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, errDistDisabled)
 		return
 	}
 	var req AcquireRequest
 	if err := decodeDist(r, &req); err != nil {
-		writeV1Error(w, http.StatusBadRequest, CodeInvalidRequest, err)
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
 	grant, err := s.dist.acquire(req.WorkerID)
 	if err != nil {
 		status, code := errorStatus(err)
-		writeV1Error(w, status, code, err)
+		writeError(w, status, code, err)
 		return
 	}
 	if grant == nil {
@@ -131,17 +131,17 @@ func (s *Service) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 func (s *Service) leaseReportHandler(report func(*coordinator, string, LeaseReport) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.dist == nil {
-			writeV1Error(w, http.StatusBadRequest, CodeInvalidRequest, errDistDisabled)
+			writeError(w, http.StatusBadRequest, CodeInvalidRequest, errDistDisabled)
 			return
 		}
 		var rep LeaseReport
 		if err := decodeDist(r, &rep); err != nil {
-			writeV1Error(w, http.StatusBadRequest, CodeInvalidRequest, err)
+			writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 			return
 		}
 		if err := report(s.dist, r.PathValue("id"), rep); err != nil {
 			status, code := errorStatus(err)
-			writeV1Error(w, status, code, err)
+			writeError(w, status, code, err)
 			return
 		}
 		writeStatus(w, http.StatusOK, map[string]string{"status": "ok"})

@@ -1,29 +1,19 @@
 package service_test
 
 // Acceptance tests for the versioned API surface itself: /v1 responses
-// carry the typed error envelope {"error":{"code","message"}}, while the
-// unversioned legacy aliases keep answering with the pre-v1 flat envelope
-// plus a Deprecation header pointing at their /v1 successor. The e2e job
-// flow is exercised against both surfaces.
+// carry the typed error envelope {"error":{"code","message"}}, and
+// unversioned paths do not route.
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/service"
 	"repro/internal/service/client"
 )
-
-// lintRequest is the cheapest job kind: design-only, done in milliseconds.
-func lintRequest() string {
-	return `{"kind":"lint","design":{"cipher":"present80","scheme":"three-in-one"}}`
-}
 
 func TestE2ETypedErrorEnvelope(t *testing.T) {
 	_, c := startDaemon(t, service.Config{Workers: 1})
@@ -61,80 +51,16 @@ func TestE2ETypedErrorEnvelope(t *testing.T) {
 	if envelope.Error.Code != service.CodeNotFound || envelope.Error.Message == "" {
 		t.Fatalf("raw /v1 envelope %+v", envelope)
 	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1 response carries a Deprecation header")
-	}
-}
 
-func TestE2ELegacyAliasesDeprecatedButWorking(t *testing.T) {
-	_, c := startDaemon(t, service.Config{Workers: 1})
-
-	// Every legacy alias announces its deprecation and /v1 successor.
-	for path, successor := range map[string]string{
-		"/healthz":      "/v1/healthz",
-		"/metrics":      "/v1/metrics",
-		"/jobs":         "/v1/jobs",
-		"/jobs/j424242": "/v1/jobs/{id}",
-	} {
-		resp, err := http.Get(c.BaseURL + path)
+	// Only /v1 is served: unversioned paths answer 404.
+	for _, path := range []string{"/healthz", "/metrics", "/jobs"} {
+		r, err := http.Get(c.BaseURL + path)
 		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("GET %s: no Deprecation header", path)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, successor) ||
-			!strings.Contains(link, `rel="successor-version"`) {
-			t.Errorf("GET %s: Link %q does not point at %s", path, link, successor)
-		}
-	}
-
-	// Legacy errors keep the pre-v1 flat {"error":"message"} shape.
-	resp, err := http.Get(c.BaseURL + "/jobs/j424242")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flat struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&flat); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound || flat.Error == "" {
-		t.Fatalf("legacy 404: status %d body %+v", resp.StatusCode, flat)
-	}
-
-	// The full job flow still works unversioned: submit, poll to done.
-	resp, err = http.Post(c.BaseURL+"/jobs", "application/json", strings.NewReader(lintRequest()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st service.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || st.ID == "" {
-		t.Fatalf("legacy submit: %d %+v", resp.StatusCode, st)
-	}
-	deadline := time.Now().Add(time.Minute)
-	for st.State != service.StateDone {
-		if time.Now().After(deadline) {
-			t.Fatalf("legacy job stuck in %q", st.State)
-		}
-		time.Sleep(5 * time.Millisecond)
-		r, err := http.Get(fmt.Sprintf("%s/jobs/%s", c.BaseURL, st.ID))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
 			t.Fatal(err)
 		}
 		r.Body.Close()
-	}
-	if st.Result == nil || st.Result.Lint == nil {
-		t.Fatalf("legacy-flow job has no lint result: %+v", st)
+		if r.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, r.StatusCode)
+		}
 	}
 }

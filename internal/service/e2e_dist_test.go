@@ -9,11 +9,13 @@ package service_test
 
 import (
 	"context"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/internal/service"
 	"repro/internal/service/client"
+	"repro/internal/sim"
 )
 
 // distDaemonConfig tunes the coordinator for fast failure detection: short
@@ -219,4 +221,86 @@ func TestE2EDistributedGracefulWorkerExit(t *testing.T) {
 			t.Fatal("worker did not stop")
 		}
 	}
+}
+
+// TestE2EDistributedCoordinatorDrainAndResume drains a coordinator while a
+// distributed campaign is mid-flight: the job must go back to queued with
+// the merged contiguous prefix as its checkpoint, and a coordinator
+// restarted on the same state directory must lease only the remainder and
+// finish bit-identical to the single-node run.
+func TestE2EDistributedCoordinatorDrainAndResume(t *testing.T) {
+	const runs = 960 // 15 batches, one per lease
+	cfg := distDaemonConfig()
+	cfg.StateDir = t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	defer cancel()
+
+	svc1, err := service.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1 := httptest.NewServer(svc1.Handler())
+	defer srv1.Close()
+	st, err := svc1.Submit(e2eRequest(runs, "prime"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The worker completes three leases, then parks inside its fourth grant,
+	// so exactly batches [0, 3) are merged when the coordinator drains.
+	wctx, wstop := context.WithCancel(ctx)
+	parked := make(chan struct{})
+	grants := 0
+	w := client.NewWorker(client.WorkerConfig{
+		Coordinator: srv1.URL,
+		OnLease: func(service.LeaseGrant) {
+			if grants++; grants == 4 {
+				close(parked)
+				<-wctx.Done()
+			}
+		},
+	})
+	runDone := make(chan error, 1)
+	go func() { runDone <- w.Run(wctx) }()
+	select {
+	case <-parked:
+	case <-ctx.Done():
+		t.Fatal("worker never reached its fourth lease")
+	}
+
+	if err := svc1.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	wstop()
+	<-runDone
+	mid, err := svc1.Get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mid.State != service.StateQueued || mid.Progress == nil || mid.Progress.Done != 3*sim.Lanes {
+		t.Fatalf("after drain: state %s progress %+v, want queued at %d runs", mid.State, mid.Progress, 3*sim.Lanes)
+	}
+
+	_, c2 := startDaemon(t, cfg)
+	w2 := client.NewWorker(client.WorkerConfig{Coordinator: c2.BaseURL})
+	go func() { runDone <- w2.Run(ctx) }()
+	final, err := c2.Wait(ctx, st.ID, 20*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != service.StateDone || final.Resumed < 1 {
+		t.Fatalf("resumed job ended %s (resumed %d): %s", final.State, final.Resumed, final.Error)
+	}
+	if got, want := *final.Result.Campaign, directResult(t, runs, "prime"); got != want {
+		t.Fatalf("resumed distributed result %+v != uninterrupted %+v", got, want)
+	}
+	m, err := c2.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := m["leases_granted_total"]; g != 12 {
+		t.Errorf("restarted coordinator granted %d leases, want the 12 unmerged batches", g)
+	}
+	cancel()
+	<-runDone
 }

@@ -42,13 +42,8 @@ type errorEnvelope struct {
 	Error ErrorBody `json:"error"`
 }
 
-// errWriter renders one error response; the v1 and legacy surfaces share
-// handlers and differ only in this function, so behaviour cannot drift
-// between them.
-type errWriter func(w http.ResponseWriter, status int, code string, err error)
-
-// writeV1Error emits the typed envelope.
-func writeV1Error(w http.ResponseWriter, status int, code string, err error) {
+// writeError emits the typed envelope.
+func writeError(w http.ResponseWriter, status int, code string, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = WriteJSON(w, errorEnvelope{Error: ErrorBody{Code: code, Message: err.Error()}})
@@ -105,41 +100,33 @@ const maxRequestBytes = 8 << 20
 //	POST   /v1/leases/{id}/complete  final tally
 //	POST   /v1/leases/{id}/fail      error report, lease requeued
 //
-// Errors on /v1 use the typed envelope {"error":{"code","message"}}. The
-// pre-versioning paths /healthz and /metrics remain as deprecated aliases
-// (flat {"error":"..."} envelope, Deprecation header); see http_legacy.go.
+// Errors use the typed envelope {"error":{"code","message"}}.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	s.registerV1(mux)
-	s.registerLegacy(mux)
-	return mux
-}
-
-func (s *Service) registerV1(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/jobs", s.submitHandler(writeV1Error))
+	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		writeStatus(w, http.StatusOK, map[string]any{"jobs": s.List()})
 	})
-	mux.HandleFunc("GET /v1/jobs/{id}", s.getHandler(writeV1Error))
-	cancel := s.cancelHandler(writeV1Error)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", cancel)
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", cancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.streamHandler(writeV1Error))
-	mux.HandleFunc("GET /v1/results", s.resultsHandler(writeV1Error))
+	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
+	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleCancel)
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
+	mux.HandleFunc("GET /v1/results", s.handleResults)
 	mux.HandleFunc("GET /v1/runs", func(w http.ResponseWriter, r *http.Request) {
 		writeStatus(w, http.StatusOK, map[string]any{"runs": s.StoredRuns()})
 	})
 	mux.HandleFunc("GET /v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		rec, err := s.StoredRun(r.PathValue("id"))
 		if err != nil {
-			writeV1Error(w, http.StatusNotFound, CodeNotFound, err)
+			writeError(w, http.StatusNotFound, CodeNotFound, err)
 			return
 		}
 		writeStatus(w, http.StatusOK, rec)
 	})
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	s.registerDistV1(mux)
+	s.registerDist(mux)
+	return mux
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -147,8 +134,8 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the full registry in Prometheus text exposition
-// format. The pre-obs JSON snapshot (short legacy keys) remains available
-// under Accept: application/json for sconectl and existing scrapers.
+// format. The JSON snapshot (short keys) remains available under Accept:
+// application/json for sconectl and existing scrapers.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if strings.Contains(r.Header.Get("Accept"), "application/json") {
 		writeStatus(w, http.StatusOK, s.Metrics.Snapshot())
@@ -159,65 +146,57 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.Metrics.WritePrometheus(w)
 }
 
-func (s *Service) submitHandler(we errWriter) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req JobRequest
-		dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			we(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("decode request: %w", err))
-			return
-		}
-		st, err := s.Submit(req)
-		if err != nil {
-			status, code := errorStatus(err)
-			we(w, status, code, err)
-			return
-		}
-		writeStatus(w, http.StatusAccepted, st)
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req JobRequest
+	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("decode request: %w", err))
+		return
 	}
+	st, err := s.Submit(req)
+	if err != nil {
+		status, code := errorStatus(err)
+		writeError(w, status, code, err)
+		return
+	}
+	writeStatus(w, http.StatusAccepted, st)
 }
 
 // resultsHandler serves stored campaign results by content address. The
 // query vocabulary mirrors `sconectl submit` flags; the response is a
 // ResultsView and never triggers simulation.
-func (s *Service) resultsHandler(we errWriter) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		req, err := ParseResultsQuery(r.URL.Query())
-		if err != nil {
-			we(w, http.StatusBadRequest, CodeInvalidRequest, err)
-			return
-		}
-		view, err := s.Results(req)
-		if err != nil {
-			status, code := errorStatus(err)
-			we(w, status, code, err)
-			return
-		}
-		writeStatus(w, http.StatusOK, view)
+func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
+	req, err := ParseResultsQuery(r.URL.Query())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
+		return
 	}
+	view, err := s.Results(req)
+	if err != nil {
+		status, code := errorStatus(err)
+		writeError(w, status, code, err)
+		return
+	}
+	writeStatus(w, http.StatusOK, view)
 }
 
-func (s *Service) getHandler(we errWriter) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		st, err := s.Get(r.PathValue("id"))
-		if err != nil {
-			we(w, http.StatusNotFound, CodeNotFound, err)
-			return
-		}
-		writeStatus(w, http.StatusOK, st)
+func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
+	st, err := s.Get(r.PathValue("id"))
+	if err != nil {
+		writeError(w, http.StatusNotFound, CodeNotFound, err)
+		return
 	}
+	writeStatus(w, http.StatusOK, st)
 }
 
-func (s *Service) cancelHandler(we errWriter) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		st, err := s.Cancel(r.PathValue("id"))
-		if err != nil {
-			we(w, http.StatusNotFound, CodeNotFound, err)
-			return
-		}
-		writeStatus(w, http.StatusOK, st)
+func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
+	st, err := s.Cancel(r.PathValue("id"))
+	if err != nil {
+		writeError(w, http.StatusNotFound, CodeNotFound, err)
+		return
 	}
+	writeStatus(w, http.StatusOK, st)
 }
 
 // streamHandler serves the NDJSON progress feed: one status snapshot, then
@@ -225,61 +204,59 @@ func (s *Service) cancelHandler(we errWriter) http.HandlerFunc {
 // result. Each line is a complete Event and the connection closes after
 // the terminal line, so `curl -N` and the client package can follow a job
 // in real time.
-func (s *Service) streamHandler(we errWriter) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		ch, off, err := s.Watch(id)
-		if err != nil {
-			we(w, http.StatusNotFound, CodeNotFound, err)
-			return
-		}
-		defer off()
-		s.Metrics.StreamClients.Add(1)
-		defer s.Metrics.StreamClients.Add(-1)
+func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	ch, off, err := s.Watch(id)
+	if err != nil {
+		writeError(w, http.StatusNotFound, CodeNotFound, err)
+		return
+	}
+	defer off()
+	s.Metrics.StreamClients.Add(1)
+	defer s.Metrics.StreamClients.Add(-1)
 
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-		flusher, _ := w.(http.Flusher)
-		enc := json.NewEncoder(w) // NDJSON: one compact JSON object per line
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w) // NDJSON: one compact JSON object per line
 
-		emit := func(ev Event) bool {
-			if err := enc.Encode(ev); err != nil {
-				return false
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return true
+	emit := func(ev Event) bool {
+		if err := enc.Encode(ev); err != nil {
+			return false
 		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return true
+	}
 
-		st, err := s.Get(id)
-		if err != nil {
-			return
-		}
-		if !emit(Event{Type: "status", Job: &st}) {
-			return
-		}
-		for {
-			select {
-			case ev, ok := <-ch:
-				if !ok {
-					// Terminal: the subscription closed; emit the final
-					// snapshot (it may have raced past a dropped event).
-					if st, err := s.Get(id); err == nil {
-						emit(Event{Type: "result", Job: &st})
-					}
-					return
+	st, err := s.Get(id)
+	if err != nil {
+		return
+	}
+	if !emit(Event{Type: "status", Job: &st}) {
+		return
+	}
+	for {
+		select {
+		case ev, ok := <-ch:
+			if !ok {
+				// Terminal: the subscription closed; emit the final
+				// snapshot (it may have raced past a dropped event).
+				if st, err := s.Get(id); err == nil {
+					emit(Event{Type: "result", Job: &st})
 				}
-				if ev.Type == "result" {
-					emit(ev)
-					return
-				}
-				if !emit(ev) {
-					return
-				}
-			case <-r.Context().Done():
 				return
 			}
+			if ev.Type == "result" {
+				emit(ev)
+				return
+			}
+			if !emit(ev) {
+				return
+			}
+		case <-r.Context().Done():
+			return
 		}
 	}
 }

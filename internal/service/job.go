@@ -310,16 +310,8 @@ func (r *JobRequest) Validate() error {
 		if len(c.Faults) == 0 {
 			return fmt.Errorf("campaign needs at least one fault")
 		}
-		for i, f := range c.Faults {
-			if _, err := parseBranch(f.Branch); err != nil {
-				return fmt.Errorf("fault %d: %w", i, err)
-			}
-			if _, err := parseModel(f.Model); err != nil {
-				return fmt.Errorf("fault %d: %w", i, err)
-			}
-			if f.Sbox < 0 || f.Bit < 0 {
-				return fmt.Errorf("fault %d: negative S-box coordinates", i)
-			}
+		if err := validateFaults(c.Faults); err != nil {
+			return err
 		}
 	case KindDFA, KindSIFA, KindFTA:
 		if r.Attack == nil {
@@ -378,16 +370,8 @@ func (r *JobRequest) Validate() error {
 		if _, ok := power.ParseModel(l.Model); !ok {
 			return fmt.Errorf("unknown power model %q", l.Model)
 		}
-		for i, f := range l.Faults {
-			if _, err := parseBranch(f.Branch); err != nil {
-				return fmt.Errorf("fault %d: %w", i, err)
-			}
-			if _, err := parseModel(f.Model); err != nil {
-				return fmt.Errorf("fault %d: %w", i, err)
-			}
-			if f.Sbox < 0 || f.Bit < 0 {
-				return fmt.Errorf("fault %d: negative S-box coordinates", i)
-			}
+		if err := validateFaults(l.Faults); err != nil {
+			return err
 		}
 	case KindArea, KindLint:
 		// Design-only kinds.
@@ -411,6 +395,23 @@ func (r *JobRequest) Validate() error {
 	if r.Design.Netlist == "" {
 		if _, _, err := ParseDesign(r.Design); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// validateFaults checks the wire vocabulary and coordinate signs of a fault
+// list; ranges against the design are checked when the job builds it.
+func validateFaults(specs []FaultSpec) error {
+	for i, f := range specs {
+		if _, err := parseBranch(f.Branch); err != nil {
+			return fmt.Errorf("fault %d: %w", i, err)
+		}
+		if _, err := parseModel(f.Model); err != nil {
+			return fmt.Errorf("fault %d: %w", i, err)
+		}
+		if f.Sbox < 0 || f.Bit < 0 {
+			return fmt.Errorf("fault %d: negative S-box coordinates", i)
 		}
 	}
 	return nil

@@ -2,12 +2,10 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/plan"
-	"repro/internal/store"
 )
 
 // placement is one planned multifault adversary: its stable plan index, the
@@ -22,52 +20,47 @@ type placement struct {
 	spec   *CampaignSpec
 }
 
-// placementExec executes one placement campaign to completion and returns
-// its tally. runMultiFault binds it to the local store-spliced path or to
-// the distributed lease fabric, so planning and sweeping are written once.
-type placementExec func(ctx context.Context, id string, cs *CampaignSpec) (CampaignResult, error)
+// placementExec runs one placement (or pruning singleton) campaign to
+// completion; id ("t<i>" for placements, "s<i>" for singletons) names it in
+// the lease table under the job's ID.
+type placementExec func(id string, cs *CampaignSpec) (CampaignResult, error)
 
-// runMultiFault executes a multifault job: the plan is generated (and
-// optionally pruned against singleton evidence), then walked one placement
-// at a time in plan order. Each placement is itself a seed-deterministic
-// campaign — the same (seed, batch) derivation as a standalone campaign job
-// with the same spec, so placement tallies replay from the result store and
-// are bit-identical whether executed locally, through the lease fabric, or
-// spliced from cache. Every placement boundary is a checkpoint, mirroring
-// runProve's pair-granular resume.
-func (s *Service) runMultiFault(ctx context.Context, j *job) (*JobResult, error) {
-	d, err := BuildDesign(j.req.Design)
+// multiFault runs a multifault job: the plan is generated (and optionally
+// pruned against singleton evidence) when the job starts, and its units are
+// the placements in plan order. Each placement is itself a
+// seed-deterministic campaign run through the service's campaign executor —
+// the same (seed, batch) derivation as a standalone campaign job with the
+// same spec, so placement tallies replay from the result store and are
+// bit-identical whether executed locally, through the lease fabric, or
+// spliced from cache. Placement boundaries, not batch or lease boundaries,
+// are the checkpoint grain: an interrupted placement re-executes on resume
+// and its finished batches splice back in from the store.
+func (r *jobRun) multiFault(ctx context.Context) (*JobResult, error) {
+	req := r.j.req
+	d, err := BuildDesign(req.Design)
 	if err != nil {
 		return nil, err
 	}
-	m := j.req.MultiFault
-
-	exec := placementExec(func(ctx context.Context, id string, cs *CampaignSpec) (CampaignResult, error) {
-		if s.dist != nil {
-			return s.runPlacementDistributed(ctx, id, j.req.Design, d, cs)
+	exec := placementExec(func(id string, cs *CampaignSpec) (CampaignResult, error) {
+		t, err := r.s.newCampaignTask(r.j.id+"/"+id, req.Design, d, cs)
+		if err != nil {
+			return CampaignResult{}, err
 		}
-		return s.runPlacement(ctx, d, cs)
+		return r.s.execute(ctx, t, 0, CampaignResult{}, nil)
 	})
-
-	res, placements, err := s.multiFaultPlan(ctx, j.id, d, m, exec)
+	res, placements, err := planMultiFault(d, req.MultiFault, exec)
 	if err != nil {
 		return nil, err
 	}
 
-	s.mu.Lock()
 	start := 0
-	if j.checkpoint != nil && j.checkpoint.MultiFault != nil {
-		cp := j.checkpoint.MultiFault
-		start = cp.NextTuple
-		for _, tr := range cp.Done {
+	if r.cp != nil && r.cp.MultiFault != nil {
+		start = r.cp.MultiFault.NextTuple
+		for _, tr := range r.cp.MultiFault.Done {
 			res.Accumulate(tr)
 		}
-		j.resumed++
-		s.Metrics.JobsResumed.Inc()
 	}
-	j.progress = &Progress{Done: start, Total: res.Planned, Counts: res.Totals}
-	s.mu.Unlock()
-
+	r.progress(&Progress{Done: start, Total: res.Planned, Counts: res.Totals})
 	for idx := start; idx < len(placements); idx++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -75,38 +68,28 @@ func (s *Service) runMultiFault(ctx context.Context, j *job) (*JobResult, error)
 		pl := placements[idx]
 		tr := TupleResult{Index: pl.index, Sites: pl.sites, Entry: pl.entry, Mask: U64(pl.mask), Pruned: pl.pruned}
 		if !pl.pruned {
-			counts, err := exec(ctx, fmt.Sprintf("%s/t%d", j.id, pl.index), pl.spec)
+			counts, err := exec(fmt.Sprintf("t%d", pl.index), pl.spec)
 			if err != nil {
 				return nil, err
 			}
 			tr.Counts = counts
 		}
 		res.Accumulate(tr)
-		// The checkpoint owns its own copy of the completed placements: the
-		// result keeps growing while the persisted record must stay a frozen
-		// snapshot of this boundary.
 		done := append([]TupleResult(nil), res.Tuples...)
-		s.mu.Lock()
-		j.checkpoint = &Checkpoint{MultiFault: &MultiFaultCheckpoint{NextTuple: idx + 1, Done: done}}
-		j.progress = &Progress{Done: idx + 1, Total: res.Planned, Counts: res.Totals}
-		s.Metrics.Checkpoints.Inc()
-		s.persistLocked(j)
-		p := *j.progress
-		s.publishLocked(j, Event{Type: "progress", Progress: &p})
-		s.mu.Unlock()
-		_ = s.results.Sync()
+		r.commit(&Checkpoint{MultiFault: &MultiFaultCheckpoint{NextTuple: idx + 1, Done: done}},
+			&Progress{Done: idx + 1, Total: res.Planned, Counts: res.Totals})
 	}
 	return &JobResult{MultiFault: res}, nil
 }
 
-// multiFaultPlan expands a validated multifault spec against the built
+// planMultiFault expands a validated multifault spec against the built
 // design into the result skeleton and the placement list. Everything here is
 // deterministic in the request: the site order is the design's declared
 // fault-point order, tuple enumeration is lexicographic, and the inert
 // oracle is computed from seed-deterministic singleton campaigns — so two
 // services (or one service across a drain/resume) always agree on which
 // index names which placement and which placements prune.
-func (s *Service) multiFaultPlan(ctx context.Context, jobID string, d *core.Design, m *MultiFaultSpec, exec placementExec) (*MultiFaultResult, []placement, error) {
+func planMultiFault(d *core.Design, m *MultiFaultSpec, exec placementExec) (*MultiFaultResult, []placement, error) {
 	res := &MultiFaultResult{Mode: m.Mode}
 	if res.Mode == "" {
 		res.Mode = "kfault"
@@ -137,11 +120,11 @@ func (s *Service) multiFaultPlan(ctx context.Context, jobID string, d *core.Desi
 		return res, placements, nil
 	}
 
-	k := m.K
-	if k == 0 {
-		k = 2
+	arity := m.K
+	if arity == 0 {
+		arity = 2
 	}
-	req := plan.Request{K: k, Sboxes: m.Sboxes, MaxTuples: m.MaxTuples}
+	req := plan.Request{K: arity, Sboxes: m.Sboxes, MaxTuples: m.MaxTuples}
 	if m.Cone != nil {
 		faults, err := resolveFaults(d, []FaultSpec{*m.Cone})
 		if err != nil {
@@ -153,7 +136,7 @@ func (s *Service) multiFaultPlan(ctx context.Context, jobID string, d *core.Desi
 	if err != nil {
 		return nil, nil, err
 	}
-	res.K = k
+	res.K = arity
 	res.Planned = len(p.Tuples)
 	res.Truncated = p.Truncated
 	for _, site := range p.Sites {
@@ -162,7 +145,7 @@ func (s *Service) multiFaultPlan(ctx context.Context, jobID string, d *core.Desi
 
 	var inert map[int]bool
 	if m.Prune {
-		inert, err = s.inertSites(ctx, jobID, p.Sites, m, exec)
+		inert, err = inertSites(p.Sites, m, exec)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -209,7 +192,7 @@ func siteFault(site plan.Site, m *MultiFaultSpec) FaultSpec {
 // use the sweep's own runs/seed/key, so their store addresses coincide with
 // any equivalent standalone campaign and a resumed or repeated sweep replays
 // them instead of re-simulating.
-func (s *Service) inertSites(ctx context.Context, jobID string, sites []plan.Site, m *MultiFaultSpec, exec placementExec) (map[int]bool, error) {
+func inertSites(sites []plan.Site, m *MultiFaultSpec, exec placementExec) (map[int]bool, error) {
 	inert := make(map[int]bool)
 	for i, site := range sites {
 		cs := &CampaignSpec{
@@ -219,7 +202,7 @@ func (s *Service) inertSites(ctx context.Context, jobID string, sites []plan.Sit
 			Faults:  []FaultSpec{siteFault(site, m)},
 			Workers: m.Workers,
 		}
-		counts, err := exec(ctx, fmt.Sprintf("%s/s%d", jobID, i), cs)
+		counts, err := exec(fmt.Sprintf("s%d", i), cs)
 		if err != nil {
 			return nil, err
 		}
@@ -228,66 +211,4 @@ func (s *Service) inertSites(ctx context.Context, jobID string, sites []plan.Sit
 		}
 	}
 	return inert, nil
-}
-
-// runPlacement executes one placement campaign in-process with store
-// splicing — executeRange over the whole batch range, the same merge the
-// campaign job kind uses.
-func (s *Service) runPlacement(ctx context.Context, d *core.Design, cs *CampaignSpec) (CampaignResult, error) {
-	camp, err := buildCampaign(d, cs, s.cfg.engineDefaults())
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	addr, addrErr := campaignAddress(camp)
-	useStore := addrErr == nil && s.results != nil
-	var digest store.Digest
-	if useStore {
-		digest = addr.Digest()
-	}
-	delta, err := s.executeRange(ctx, camp, digest, useStore, 0, camp.NumBatches())
-	s.Metrics.RunsSimulated.Add(int64(delta.simulatedRuns))
-	s.Metrics.RunsReplayed.Add(int64(delta.replayedRuns))
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	return delta.counts, nil
-}
-
-// runPlacementDistributed executes one placement campaign through the lease
-// fabric: the placement registers as a synthetic campaign job ("<job>/t<i>"
-// or "<job>/s<i>") whose leases workers pull exactly like a first-class
-// campaign's, and the placement completes when the merge cursor covers every
-// batch. Placement boundaries, not lease boundaries, are the multifault
-// job's checkpoint grain: an interrupted placement re-registers on resume
-// and its finished batches splice back in from the store.
-func (s *Service) runPlacementDistributed(ctx context.Context, id string, ds DesignSpec, d *core.Design, cs *CampaignSpec) (CampaignResult, error) {
-	camp, err := buildCampaign(d, cs, s.cfg.engineDefaults())
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	addr, addrErr := campaignAddress(camp)
-	useStore := addrErr == nil && s.results != nil
-	var digest store.Digest
-	if useStore {
-		digest = addr.Digest()
-	}
-	req := JobRequest{Kind: KindCampaign, Design: ds, Campaign: cs}
-	dj := s.dist.register(id, req, 0, camp.NumBatches(), CampaignResult{}, camp.Runs, digest, useStore)
-	defer s.dist.unregister(id)
-	for {
-		select {
-		case <-ctx.Done():
-			return CampaignResult{}, ctx.Err()
-		case <-dj.notify:
-			p := s.dist.snapshot(id)
-			if p.failed != "" {
-				return CampaignResult{}, errors.New(p.failed)
-			}
-			if p.done {
-				s.Metrics.RunsSimulated.Add(int64(p.acc.Total - p.replayedRuns))
-				s.Metrics.RunsReplayed.Add(int64(p.replayedRuns))
-				return p.acc, nil
-			}
-		}
-	}
 }

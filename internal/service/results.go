@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"net/url"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/fault"
@@ -302,7 +303,7 @@ func queryBool(v url.Values, key string) (bool, error) {
 // splitKey parses the "lo,hi" key form shared with sconectl.
 func splitKey(s string) ([2]U64, error) {
 	var k [2]U64
-	lo, hi, found := cutComma(s)
+	lo, hi, found := strings.Cut(s, ",")
 	v, err := ParseU64(lo)
 	if err != nil {
 		return k, fmt.Errorf("bad key: %w", err)
@@ -317,15 +318,6 @@ func splitKey(s string) ([2]U64, error) {
 	return k, nil
 }
 
-func cutComma(s string) (before, after string, found bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == ',' {
-			return s[:i], s[i+1:], true
-		}
-	}
-	return s, "", false
-}
-
 // runProvenance tracks one campaign execution's run record as it evolves:
 // written once when execution starts, superseded with the replay/simulation
 // split and final state when it ends.
@@ -335,15 +327,15 @@ type runProvenance struct {
 }
 
 // beginRunRecord writes the "running" provenance record for one campaign
-// execution. Nil-safe throughout: without a result store it degrades to
-// pure bookkeeping that is never persisted.
-func (s *Service) beginRunRecord(j *job, camp *fault.Campaign, addr store.CampaignKey, digest store.Digest, haveAddr bool) *runProvenance {
+// job's execution. Nil-safe throughout: without a result store it degrades
+// to pure bookkeeping that is never persisted.
+func (s *Service) beginRunRecord(j *job, t *campaignTask) *runProvenance {
 	p := &runProvenance{s: s, rec: store.RunRecord{
 		ID:        j.id,
 		JobID:     j.id,
 		Kind:      string(j.req.Kind),
-		Runs:      camp.Runs,
-		Batches:   camp.NumBatches(),
+		Runs:      t.camp.Runs,
+		Batches:   t.camp.NumBatches(),
 		State:     string(StateRunning),
 		Submitted: j.submitted,
 		Started:   time.Now().UTC(),
@@ -351,10 +343,10 @@ func (s *Service) beginRunRecord(j *job, camp *fault.Campaign, addr store.Campai
 	if b, err := json.Marshal(j.req); err == nil {
 		p.rec.Request = b
 	}
-	if haveAddr {
-		p.rec.Netlist = addr.Netlist.String()
-		p.rec.Campaign = digest.String()
-		p.rec.Engine = addr.Engine
+	if t.useStore {
+		p.rec.Netlist = t.addr.Netlist.String()
+		p.rec.Campaign = t.digest.String()
+		p.rec.Engine = t.addr.Engine
 	}
 	_ = s.results.PutRun(p.rec)
 	return p

@@ -10,15 +10,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/attack"
-	"repro/internal/fault"
-	"repro/internal/leakage"
-	"repro/internal/lint"
 	"repro/internal/obs"
-	"repro/internal/prove"
-	"repro/internal/sim"
-	"repro/internal/spn"
-	"repro/internal/stdcell"
 	"repro/internal/store"
 )
 
@@ -491,30 +483,7 @@ func (s *Service) runJob(j *job) {
 	s.mu.Unlock()
 	defer s.Metrics.JobsRunning.Add(-1)
 
-	var result *JobResult
-	var err error
-	switch j.req.Kind {
-	case KindCampaign:
-		if s.dist != nil {
-			result, err = s.runCampaignDistributed(ctx, j)
-		} else {
-			result, err = s.runCampaign(ctx, j)
-		}
-	case KindDFA, KindSIFA, KindFTA:
-		result, err = s.runAttack(ctx, j)
-	case KindArea:
-		result, err = runArea(j.req)
-	case KindLint:
-		result, err = runLint(j.req)
-	case KindProve:
-		result, err = s.runProve(ctx, j)
-	case KindMultiFault:
-		result, err = s.runMultiFault(ctx, j)
-	case KindLeakage:
-		result, err = s.runLeakage(ctx, j)
-	default:
-		err = fmt.Errorf("unknown job kind %q", j.req.Kind)
-	}
+	result, err := s.runKind(ctx, j)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -536,521 +505,70 @@ func (s *Service) runJob(j *job) {
 	}
 }
 
-// runCampaign executes a campaign job in checkpoint-sized chunks. Each
-// chunk is a contiguous batch range of the seed-deterministic campaign;
-// after every chunk the accumulated counts and the next batch index are
-// persisted and a progress event is published. Within a chunk the result
-// store is consulted per batch: cached batches are spliced in without
-// simulation, uncached ones are executed and their tallies stored, and the
-// merge stays bit-identical to an uninterrupted run because both sources
-// carry the identical (seed, batch)-deterministic counts.
-func (s *Service) runCampaign(ctx context.Context, j *job) (*JobResult, error) {
-	d, err := BuildDesign(j.req.Design)
-	if err != nil {
-		return nil, err
-	}
-	camp, err := buildCampaign(d, j.req.Campaign, s.cfg.engineDefaults())
-	if err != nil {
-		return nil, err
-	}
+// jobRun is a running job's handle on the service's one job loop. Every
+// kind is a function of its jobRun (see runKind): it resumes from cp when
+// one is set, reports its starting point through progress, and calls
+// commit at every unit boundary — campaign batches, proof pairs,
+// multifault placements, trace batches. The loop owns everything else:
+// resume accounting, checkpoint persistence, event publication and
+// result-store durability. The one-shot kinds (attacks, area, lint) never
+// commit, so a drained one-shot job simply reruns on the next start.
+type jobRun struct {
+	s  *Service
+	j  *job
+	cp *Checkpoint // the checkpoint to resume from; nil on a fresh start
+}
 
-	// An address failure disables replay for this job, never fails it: the
-	// store is an accelerator, not a dependency.
-	addr, addrErr := campaignAddress(camp)
-	useStore := addrErr == nil && s.results != nil
-	var digest store.Digest
-	if useStore {
-		digest = addr.Digest()
-	}
-
-	batches := camp.NumBatches()
-	chunk := (s.cfg.CheckpointEveryRuns + sim.Lanes - 1) / sim.Lanes
-	if chunk < 1 {
-		chunk = 1
-	}
-
+// runKind resumes or starts the dequeued job through its kind's function.
+func (s *Service) runKind(ctx context.Context, j *job) (*JobResult, error) {
 	s.mu.Lock()
-	var acc CampaignResult
-	start := 0
-	if j.checkpoint != nil {
-		start = j.checkpoint.NextBatch
-		acc = j.checkpoint.Counts
+	r := &jobRun{s: s, j: j, cp: j.checkpoint}
+	if r.cp != nil {
 		j.resumed++
 		s.Metrics.JobsResumed.Inc()
 	}
-	j.progress = &Progress{Done: acc.Total, Total: camp.Runs, Counts: acc}
 	s.mu.Unlock()
-
-	prov := s.beginRunRecord(j, camp, addr, digest, useStore)
-	for b := start; b < batches; {
-		end := b + chunk
-		if end > batches {
-			end = batches
-		}
-		delta, execErr := s.executeRange(ctx, camp, digest, useStore, b, end)
-		acc.Accumulate(delta.counts)
-		prov.add(delta.replayedBatches, delta.completed-delta.replayedBatches)
-		s.mu.Lock()
-		j.checkpoint = &Checkpoint{NextBatch: b + delta.completed, Counts: acc}
-		j.progress = &Progress{Done: acc.Total, Total: camp.Runs, Counts: acc}
-		s.Metrics.RunsSimulated.Add(int64(delta.simulatedRuns))
-		s.Metrics.RunsReplayed.Add(int64(delta.replayedRuns))
-		s.Metrics.Checkpoints.Inc()
-		s.persistLocked(j)
-		p := *j.progress
-		s.publishLocked(j, Event{Type: "progress", Progress: &p})
-		s.mu.Unlock()
-		// Checkpoint cadence doubles as store durability cadence.
-		_ = s.results.Sync()
-		if execErr != nil {
-			prov.finish(execErr, nil)
-			return nil, execErr
-		}
-		b = end
-	}
-	cr := acc
-	prov.finish(nil, &cr)
-	return &JobResult{Campaign: &cr}, nil
-}
-
-// rangeDelta is one executeRange outcome: the merged counts of the range's
-// completed contiguous prefix and how that work split between replay and
-// simulation.
-type rangeDelta struct {
-	counts          CampaignResult
-	completed       int // batches of the contiguous prefix
-	replayedBatches int
-	replayedRuns    int
-	simulatedRuns   int
-}
-
-// executeRange runs the batch range [first, last) with store splicing. The
-// cache is consulted exactly once per batch up front (so the hit/miss
-// instruments measure the replay decision precisely), then the range is
-// walked as alternating cached and uncached segments: cached batches merge
-// their stored counts and count as replays, uncached segments execute with
-// a per-batch hook that stores each fresh tally under its content address.
-// Like ExecuteBatches, the returned delta covers a contiguous prefix of the
-// range on cancellation.
-func (s *Service) executeRange(ctx context.Context, camp *fault.Campaign, digest store.Digest, useStore bool, first, last int) (rangeDelta, error) {
-	var d rangeDelta
-	var cached []*store.Counts
-	if useStore {
-		cached = make([]*store.Counts, last-first)
-		for b := first; b < last; b++ {
-			k := store.BatchKey{Campaign: digest, Batch: b, Runs: camp.BatchRuns(b)}
-			if c, ok := s.results.GetBatch(k); ok {
-				cc := c
-				cached[b-first] = &cc
-			}
-		}
-	}
-	for b := first; b < last; {
-		if cached != nil && cached[b-first] != nil {
-			c := *cached[b-first]
-			accumulateCounts(&d.counts, c)
-			fault.CountReplay(1, fault.Result{Total: c.Total})
-			d.replayedBatches++
-			d.replayedRuns += c.Total
-			d.completed++
-			b++
-			continue
-		}
-		end := b
-		for end < last && (cached == nil || cached[end-first] == nil) {
-			end++
-		}
-		res, execErr := camp.ExecuteBatchesFunc(ctx, b, end, nil, func(bi int, r fault.Result) {
-			if useStore {
-				k := store.BatchKey{Campaign: digest, Batch: bi, Runs: r.Total}
-				_ = s.results.PutBatch(k, faultCounts(r)) // conflicts/failures count in the store's own instruments
-			}
-		})
-		d.counts.Add(res)
-		d.simulatedRuns += res.Total
-		// Completed batches are always full sim.Lanes wide except the
-		// campaign's final batch, which only completes error-free.
-		done := res.Total / sim.Lanes
-		if execErr == nil {
-			done = end - b
-		}
-		d.completed += done
-		if execErr != nil {
-			return d, execErr
-		}
-		b = end
-	}
-	return d, nil
-}
-
-// runCampaignDistributed executes a campaign job through the lease fabric:
-// the batch range is registered with the coordinator, workers pull and
-// execute leases, and this goroutine just follows the merge cursor —
-// checkpointing and publishing progress exactly like the local path, and
-// returning the merged result once the contiguous prefix covers every
-// batch. On drain or cancel the merged prefix is checkpointed so only the
-// remainder is re-leased later; determinism makes the outcome independent
-// of where the cut lands.
-func (s *Service) runCampaignDistributed(ctx context.Context, j *job) (*JobResult, error) {
-	d, err := BuildDesign(j.req.Design)
-	if err != nil {
-		return nil, err
-	}
-	camp, err := buildCampaign(d, j.req.Campaign, s.cfg.engineDefaults())
-	if err != nil {
-		return nil, err
-	}
-	batches := camp.NumBatches()
-
-	addr, addrErr := campaignAddress(camp)
-	useStore := addrErr == nil && s.results != nil
-	var digest store.Digest
-	if useStore {
-		digest = addr.Digest()
-	}
-
-	s.mu.Lock()
-	var acc CampaignResult
-	start := 0
-	if j.checkpoint != nil {
-		start = j.checkpoint.NextBatch
-		acc = j.checkpoint.Counts
-		j.resumed++
-		s.Metrics.JobsResumed.Inc()
-	}
-	j.progress = &Progress{Done: acc.Total, Total: camp.Runs, Counts: acc}
-	s.mu.Unlock()
-
-	prov := s.beginRunRecord(j, camp, addr, digest, useStore)
-	dj := s.dist.register(j.id, j.req, start, batches, acc, camp.Runs, digest, useStore)
-	defer s.dist.unregister(j.id)
-
-	last := distProgress{cursor: start, acc: acc}
-	finish := func(err error, res *CampaignResult) {
-		_ = s.results.Sync()
-		prov.finish(err, res)
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			// Drain or user cancel: persist the merged contiguous prefix;
-			// the caller's requeue/cancel handling proceeds from there.
-			p := s.dist.snapshot(j.id)
-			s.mu.Lock()
-			j.checkpoint = &Checkpoint{NextBatch: p.cursor, Counts: p.acc}
-			s.persistLocked(j)
-			s.mu.Unlock()
-			prov.add(p.replayedBatches, (p.cursor-start)-p.replayedBatches)
-			finish(ctx.Err(), nil)
-			return nil, ctx.Err()
-		case <-dj.notify:
-			p := s.dist.snapshot(j.id)
-			if p.failed != "" {
-				prov.add(p.replayedBatches, (p.cursor-start)-p.replayedBatches)
-				finish(errors.New(p.failed), nil)
-				return nil, errors.New(p.failed)
-			}
-			if p.cursor != last.cursor {
-				// The merged prefix advanced; split the new runs between
-				// replayed (batches the store pre-completed at register
-				// time) and simulated (worker-executed leases).
-				runs := p.acc.Total - last.acc.Total
-				replayed := p.replayedRuns - last.replayedRuns
-				last = p
-				s.mu.Lock()
-				j.checkpoint = &Checkpoint{NextBatch: p.cursor, Counts: p.acc}
-				j.progress = &Progress{Done: p.acc.Total, Total: camp.Runs, Counts: p.acc}
-				s.Metrics.RunsSimulated.Add(int64(runs - replayed))
-				s.Metrics.RunsReplayed.Add(int64(replayed))
-				s.Metrics.Checkpoints.Inc()
-				s.persistLocked(j)
-				pr := *j.progress
-				s.publishLocked(j, Event{Type: "progress", Progress: &pr})
-				s.mu.Unlock()
-				_ = s.results.Sync()
-			}
-			if p.done {
-				cr := p.acc
-				prov.add(p.replayedBatches, (p.cursor-start)-p.replayedBatches)
-				finish(nil, &cr)
-				return &JobResult{Campaign: &cr}, nil
-			}
-		}
-	}
-}
-
-// runAttack executes the one-shot attack kinds. The drivers are not
-// incrementally interruptible (they are short relative to campaigns), so
-// cancellation is honoured at the boundaries.
-func (s *Service) runAttack(ctx context.Context, j *job) (*JobResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	a := j.req.Attack
-	key := spn.KeyState{uint64(a.Key[0]), uint64(a.Key[1])}
-	d, err := BuildDesign(j.req.Design)
-	if err != nil {
-		return nil, err
-	}
-	deviceSeed := uint64(a.DeviceSeed)
-	if deviceSeed == 0 {
-		deviceSeed = 0x5C017ED
-	}
-
 	switch j.req.Kind {
-	case KindDFA:
-		t, err := attack.NewTarget(d, key, deviceSeed)
-		if err != nil {
-			return nil, err
-		}
-		cfg := attack.DefaultDFAConfig()
-		if a.PairsPerNibble > 0 {
-			cfg.PairsPerNibble = a.PairsPerNibble
-		}
-		if a.Model != "" {
-			cfg.Model, _ = parseModel(a.Model)
-		}
-		cfg.BothBranches = a.BothBranches
-		cfg.UnknownPolarity = a.UnknownPolarity
-		if a.Seed != 0 {
-			cfg.Seed = uint64(a.Seed)
-		}
-		res := attack.RunDFA(t, cfg)
-		return &JobResult{DFA: &DFAResult{
-			Succeeded:    res.Succeeded,
-			Detail:       res.Detail,
-			RecoveredKey: [2]U64{U64(res.RecoveredKey[0]), U64(res.RecoveredKey[1])},
-		}}, ctx.Err()
-	case KindSIFA:
-		t, err := attack.NewTarget(d, key, deviceSeed)
-		if err != nil {
-			return nil, err
-		}
-		cfg := attack.DefaultSIFAConfig()
-		if a.Sbox != nil {
-			cfg.SboxIndex = *a.Sbox
-		}
-		if a.Bit != nil {
-			cfg.FaultBit = *a.Bit
-		}
-		if a.Injections > 0 {
-			cfg.Injections = a.Injections
-		}
-		if a.Seed != 0 {
-			cfg.Seed = uint64(a.Seed)
-		}
-		if cfg.SboxIndex >= d.Spec.NumSboxes() || cfg.FaultBit >= d.Spec.SboxBits {
-			return nil, fmt.Errorf("S-box %d bit %d out of range for %s", cfg.SboxIndex, cfg.FaultBit, d.Spec.Name)
-		}
-		res := attack.RunSIFA(t, cfg)
-		return &JobResult{SIFA: &SIFAResult{
-			Succeeded:  res.Succeeded,
-			Detail:     res.Detail,
-			BestGuess:  U64(res.BestGuess),
-			TrueSubkey: U64(res.TrueSubkey),
-			Usable:     res.Usable,
-		}}, ctx.Err()
-	case KindFTA:
-		cfg := attack.DefaultFTAConfig()
-		if a.Sbox != nil {
-			cfg.SboxIndex = *a.Sbox
-		}
-		if a.Repeats > 0 {
-			cfg.Repeats = a.Repeats
-		}
-		if a.ProfilePTs > 0 {
-			cfg.ProfilePTs = a.ProfilePTs
-		}
-		if a.AttackPTs > 0 {
-			cfg.AttackPTs = a.AttackPTs
-		}
-		if a.Seed != 0 {
-			cfg.Seed = uint64(a.Seed)
-		}
-		if cfg.SboxIndex >= d.Spec.NumSboxes() {
-			return nil, fmt.Errorf("S-box %d out of range for %s", cfg.SboxIndex, d.Spec.Name)
-		}
-		res, err := attack.RunFTAOnDesign(d, key, cfg, deviceSeed)
-		if err != nil {
-			return nil, err
-		}
-		return &JobResult{FTA: &FTAResult{
-			Succeeded:  res.Succeeded,
-			Detail:     res.Detail,
-			Accuracy:   res.Accuracy,
-			Bits:       res.Bits,
-			Separation: res.Separation,
-		}}, ctx.Err()
+	case KindCampaign:
+		return r.campaign(ctx)
+	case KindMultiFault:
+		return r.multiFault(ctx)
+	case KindProve:
+		return r.prove(ctx)
+	case KindLeakage:
+		return r.leakage(ctx)
+	case KindDFA, KindSIFA, KindFTA:
+		return runAttack(ctx, j.req)
+	case KindArea:
+		return runArea(j.req)
+	case KindLint:
+		return runLint(j.req)
 	}
-	return nil, fmt.Errorf("unknown attack kind %q", j.req.Kind)
+	return nil, fmt.Errorf("unknown job kind %q", j.req.Kind)
 }
 
-// runArea prices a design (or uploaded netlist) in gate equivalents.
-func runArea(req JobRequest) (*JobResult, error) {
-	m, err := ResolveModule(req.Design)
-	if err != nil {
-		return nil, err
-	}
-	rep := stdcell.Nangate45().Area(m)
-	byKind := make(map[string]float64, len(rep.ByKind))
-	for k, ge := range rep.ByKind {
-		byKind[k.String()] = ge
-	}
-	return &JobResult{Area: &AreaResult{
-		Module:        rep.Module,
-		Library:       rep.Library,
-		Combinational: rep.Combinational,
-		Sequential:    rep.Sequential,
-		Total:         rep.Total(),
-		CellCount:     rep.CellCount,
-		ByKind:        byKind,
-	}}, nil
+// progress sets the job's progress without checkpointing: the resume point,
+// before the first unit runs.
+func (r *jobRun) progress(p *Progress) {
+	r.s.mu.Lock()
+	r.j.progress = p
+	r.s.mu.Unlock()
 }
 
-// runProve executes a prove job one (fault location, model) pair at a
-// time. Proofs are deterministic and independent per pair, and the pairs
-// are walked in a fixed order (locations outer, models inner), so every
-// pair boundary is a checkpoint: the completed pairs and the next index
-// are persisted after each proof, and a drained or killed job resumes by
-// replaying the checkpointed pairs into the aggregate and proving only
-// the remainder — never re-proving a completed pair.
-func (s *Service) runProve(ctx context.Context, j *job) (*JobResult, error) {
-	m, err := ResolveModule(j.req.Design)
-	if err != nil {
-		return nil, err
-	}
-	budget := 0
-	models := prove.Models()
-	if p := j.req.Prove; p != nil {
-		budget = p.Budget
-		if len(p.Models) > 0 {
-			models = make([]fault.Model, 0, len(p.Models))
-			for _, name := range p.Models {
-				fm, err := parseModel(name)
-				if err != nil {
-					return nil, err
-				}
-				models = append(models, fm)
-			}
-		}
-	}
-	a, err := prove.NewAnalyzer(m, budget)
-	if err != nil {
-		return nil, err
-	}
-	locs := a.Locations()
-	if len(locs) == 0 {
-		return nil, fmt.Errorf("module %s declares no fault points (no %q cell tags)", m.Name, prove.TagPrefix)
-	}
-	total := len(locs) * len(models)
-
-	res := &ProveResult{Module: m.Name, Budget: a.Budget()}
+// commit records a unit boundary: the checkpoint is persisted, the progress
+// published to stream subscribers, and the result store synced — checkpoint
+// cadence doubles as store durability cadence. cp must be a frozen copy:
+// the kind's accumulator keeps growing after it is persisted.
+func (r *jobRun) commit(cp *Checkpoint, p *Progress) {
+	s, j := r.s, r.j
 	s.mu.Lock()
-	start := 0
-	if j.checkpoint != nil && j.checkpoint.Prove != nil {
-		cp := j.checkpoint.Prove
-		start = cp.NextPair
-		for _, l := range cp.Done {
-			res.Accumulate(l)
-		}
-		j.resumed++
-		s.Metrics.JobsResumed.Inc()
-	}
-	j.progress = &Progress{Done: start, Total: total}
+	j.checkpoint, j.progress = cp, p
+	s.Metrics.Checkpoints.Inc()
+	s.persistLocked(j)
+	ev := *p
+	s.publishLocked(j, Event{Type: "progress", Progress: &ev})
 	s.mu.Unlock()
-
-	for pair := start; pair < total; pair++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		lr, err := a.Prove(locs[pair/len(models)], models[pair%len(models)])
-		if err != nil {
-			return nil, err
-		}
-		res.Accumulate(NewProveLocation(lr))
-		// The checkpoint owns its own copy of the completed pairs: the
-		// result keeps growing while the persisted record must stay a
-		// frozen snapshot of this boundary.
-		done := append([]ProveLocation(nil), res.Locations...)
-		s.mu.Lock()
-		j.checkpoint = &Checkpoint{Prove: &ProveCheckpoint{NextPair: pair + 1, Done: done}}
-		j.progress = &Progress{Done: pair + 1, Total: total}
-		s.Metrics.Checkpoints.Inc()
-		s.persistLocked(j)
-		p := *j.progress
-		s.publishLocked(j, Event{Type: "progress", Progress: &p})
-		s.mu.Unlock()
-	}
-	return &JobResult{Prove: res}, nil
-}
-
-// runLeakage executes a leakage job one trace batch at a time. Batches
-// are (seed, batch)-deterministic and the streaming t-test accumulator
-// serialises bit-exactly, so every batch boundary is a checkpoint: a
-// drained or killed job resumes by restoring the accumulator and
-// simulating exactly the remaining batches — the final t-statistics are
-// bit-identical to an uninterrupted run.
-func (s *Service) runLeakage(ctx context.Context, j *job) (*JobResult, error) {
-	ev, err := buildLeakage(j.req)
-	if err != nil {
-		return nil, err
-	}
-	total := j.req.Leakage.Pairs
-
-	s.mu.Lock()
-	if j.checkpoint != nil && j.checkpoint.Leakage != nil {
-		cp := j.checkpoint.Leakage
-		if err := ev.Restore(leakage.State{
-			NextBatch: cp.NextBatch, Discarded: cp.Discarded, TTest: cp.TTest,
-		}); err != nil {
-			s.mu.Unlock()
-			return nil, err
-		}
-		j.resumed++
-		s.Metrics.JobsResumed.Inc()
-	}
-	j.progress = &Progress{Done: ev.PairsDone(), Total: total}
-	s.mu.Unlock()
-
-	for !ev.Done() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ev.Step()
-		// State() deep-copies the accumulator, so the persisted record
-		// stays a frozen snapshot of this batch boundary.
-		st := ev.State()
-		s.mu.Lock()
-		j.checkpoint = &Checkpoint{Leakage: &LeakageCheckpoint{
-			NextBatch: st.NextBatch, Discarded: st.Discarded, TTest: st.TTest,
-		}}
-		j.progress = &Progress{Done: ev.PairsDone(), Total: total}
-		s.Metrics.Checkpoints.Inc()
-		s.persistLocked(j)
-		p := *j.progress
-		s.publishLocked(j, Event{Type: "progress", Progress: &p})
-		s.mu.Unlock()
-	}
-	return &JobResult{Leakage: NewLeakageResult(ev.Result())}, nil
-}
-
-// runLint audits a design (or uploaded netlist) with the static
-// countermeasure linter.
-func runLint(req JobRequest) (*JobResult, error) {
-	m, err := ResolveModule(req.Design)
-	if err != nil {
-		return nil, err
-	}
-	opts := lint.Options{}
-	if req.Lint != nil {
-		opts.Rules = req.Lint.Rules
-		opts.MaxPerRule = req.Lint.MaxPerRule
-	}
-	rep, err := lint.Run(m, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &JobResult{Lint: rep}, nil
+	_ = s.results.Sync()
 }
 
 // QueueLen reports the queued backlog (for /metrics and tests).

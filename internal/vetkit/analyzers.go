@@ -9,7 +9,7 @@ import (
 
 // Analyzers returns the repository's vet passes in a stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{NoRand, CachedCompile, CtxExecute, EngineCfg, ObsNames, ProveBudget, V1Routes}
+	return []*Analyzer{NoRand, CachedCompile, CtxExecute, EngineCfg, ObsNames, ProveBudget}
 }
 
 // NoRand forbids math/rand outside test files and internal/rng.
@@ -42,10 +42,10 @@ var ctxExecuteDirs = []string{"internal/service/", "cmd/sconed/"}
 // layer. Graceful drain and checkpoint/resume both rely on cancellation
 // reaching the simulation between batches; a bare Execute call would run
 // a campaign to completion no matter what, wedging shutdown for the whole
-// worker. Use ExecuteContext or ExecuteBatches there instead.
+// worker. Use ExecuteBatchesFunc with the job's context there instead.
 var CtxExecute = &Analyzer{
 	Name: "ctxexecute",
-	Doc:  "forbid context-free .Execute( in internal/service and cmd/sconed (use ExecuteContext/ExecuteBatches)",
+	Doc:  "forbid context-free .Execute( in internal/service and cmd/sconed (use ExecuteBatchesFunc)",
 	Run: func(p *Pass) {
 		for _, f := range p.Files {
 			if f.Test {
@@ -67,7 +67,7 @@ var CtxExecute = &Analyzer{
 					return true
 				}
 				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Execute" {
-					p.Reportf(call.Pos(), "context-free .Execute call in the service layer cannot be drained: use ExecuteContext or ExecuteBatches")
+					p.Reportf(call.Pos(), "context-free .Execute call in the service layer cannot be drained: use ExecuteBatchesFunc with the job's context")
 				}
 				return true
 			})
@@ -290,70 +290,6 @@ var ProveBudget = &Analyzer{
 				}
 				if id, ok := sel.X.(*ast.Ident); ok && id.Name == local && id.Obj == nil {
 					p.Reportf(call.Pos(), "bare bdd.New in analysis code has no node ceiling: use bdd.NewWithBudget and run under bdd.Guarded")
-				}
-				return true
-			})
-		}
-	},
-}
-
-// v1RoutesDir is the package whose HTTP surface is versioned, and
-// v1RoutesShim the one file allowed to register unversioned aliases.
-const (
-	v1RoutesDir  = "internal/service/"
-	v1RoutesShim = "http_legacy.go"
-)
-
-// muxRegisterFuncs are the mux methods whose first argument is a route
-// pattern.
-var muxRegisterFuncs = map[string]bool{
-	"HandleFunc": true,
-	"Handle":     true,
-}
-
-// V1Routes keeps the service's HTTP surface versioned: a string-literal
-// route pattern registered in internal/service must live under /v1/.
-// The one sanctioned exception is the legacy-alias shim http_legacy.go,
-// which carries the deprecated unversioned paths (Deprecation header, old
-// flat error envelope); routing anywhere else must go through /v1 so the
-// deprecation story stays enforceable. cmd/ binaries are out of scope —
-// the daemon legitimately mounts "/" and /debug/pprof/.
-var V1Routes = &Analyzer{
-	Name: "v1routes",
-	Doc:  "require /v1/ route patterns in internal/service outside the legacy-alias shim http_legacy.go",
-	Run: func(p *Pass) {
-		for _, f := range p.Files {
-			if f.Test || !strings.HasPrefix(f.Dir(), v1RoutesDir) {
-				continue
-			}
-			if strings.HasSuffix(f.Path, "/"+v1RoutesShim) {
-				continue
-			}
-			ast.Inspect(f.AST, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || len(call.Args) == 0 {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || !muxRegisterFuncs[sel.Sel.Name] {
-					return true
-				}
-				lit, ok := call.Args[0].(*ast.BasicLit)
-				if !ok || lit.Kind != token.STRING {
-					return true
-				}
-				pattern, err := strconv.Unquote(lit.Value)
-				if err != nil {
-					return true
-				}
-				// Patterns may carry a "METHOD " prefix (net/http 1.22
-				// enhanced routing); the path component follows it.
-				path := pattern
-				if i := strings.IndexByte(pattern, ' '); i >= 0 {
-					path = strings.TrimSpace(pattern[i+1:])
-				}
-				if !strings.HasPrefix(path, "/v1/") {
-					p.Reportf(lit.Pos(), "unversioned route %q in internal/service: version it under /v1/ (legacy aliases belong in %s)", pattern, v1RoutesShim)
 				}
 				return true
 			})

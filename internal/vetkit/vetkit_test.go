@@ -103,9 +103,9 @@ func f(c interface{ Execute(func()) }) { c.Execute(nil) }
 import "context"
 
 func g(c interface {
-	ExecuteContext(context.Context, func()) error
+	ExecuteBatchesFunc(context.Context, int, int, func(), func()) error
 }) {
-	c.ExecuteContext(context.Background(), nil)
+	c.ExecuteBatchesFunc(context.Background(), 0, 1, nil, nil)
 }
 `,
 		"internal/service/ok_test.go": `package service
@@ -132,8 +132,8 @@ func h(c interface{ Execute(func()) }) { c.Execute(nil) }
 		if d.Pos.Filename != "internal/service/bad.go" && d.Pos.Filename != "cmd/sconed/bad.go" {
 			t.Errorf("finding in wrong file: %s", d.String())
 		}
-		if !strings.Contains(d.Message, "ExecuteContext") {
-			t.Errorf("message should point at ExecuteContext: %s", d.String())
+		if !strings.Contains(d.Message, "ExecuteBatchesFunc") {
+			t.Errorf("message should point at ExecuteBatchesFunc: %s", d.String())
 		}
 	}
 }
@@ -244,62 +244,6 @@ func g() { _ = bdd.New(8) }
 		}
 		if !strings.Contains(d.Message, "NewWithBudget") {
 			t.Errorf("message should point at NewWithBudget: %s", d.String())
-		}
-	}
-}
-
-func TestV1Routes(t *testing.T) {
-	root := writeTree(t, map[string]string{
-		"internal/service/http.go": `package service
-
-func f(mux interface {
-	HandleFunc(pattern string, h func())
-	Handle(pattern string, h any)
-}) {
-	mux.HandleFunc("POST /v1/jobs", nil)
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", nil)
-	mux.Handle("/v1/metrics", nil)
-	mux.HandleFunc("GET /healthz", nil)
-	mux.Handle("/metrics", nil)
-}
-`,
-		"internal/service/http_legacy.go": `package service
-
-func g(mux interface{ HandleFunc(pattern string, h func()) }) {
-	mux.HandleFunc("GET /healthz", nil)
-	mux.HandleFunc("GET /metrics", nil)
-}
-`,
-		"internal/service/ok_test.go": `package service
-
-func t(mux interface{ HandleFunc(pattern string, h func()) }) {
-	mux.HandleFunc("GET /unversioned", nil)
-}
-`,
-		"cmd/sconed/main.go": `package main
-
-func h(mux interface {
-	HandleFunc(pattern string, h func())
-	Handle(pattern string, h any)
-}) {
-	mux.HandleFunc("/debug/pprof/", nil)
-	mux.Handle("/", nil)
-}
-`,
-	})
-	diags, err := Run(root, []*Analyzer{V1Routes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 2 {
-		t.Fatalf("got %d findings, want 2: %v", len(diags), diags)
-	}
-	for _, d := range diags {
-		if d.Pos.Filename != "internal/service/http.go" {
-			t.Errorf("finding in wrong file: %s", d.String())
-		}
-		if !strings.Contains(d.Message, "http_legacy.go") {
-			t.Errorf("message should point at the shim: %s", d.String())
 		}
 	}
 }

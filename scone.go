@@ -215,16 +215,6 @@ type (
 	PersistentFault = fault.PersistentFault
 )
 
-// FaultModel enumerates stuck-at-0/1 and bit-flip.
-//
-// Deprecated: use Model.
-type FaultModel = fault.Model
-
-// CampaignRun is one classified encryption.
-//
-// Deprecated: use Run.
-type CampaignRun = fault.Run
-
 // Fault models.
 const (
 	// StuckAt0 forces the faulted net to 0.
@@ -293,7 +283,7 @@ func (c *BoundCampaign) WithEngine(cfg EngineConfig) (*BoundCampaign, error) {
 // Run executes the campaign under the bound context. observe, when
 // non-nil, sees every classified run in deterministic seed order.
 func (c *BoundCampaign) Run(observe func(Run)) (CampaignResult, error) {
-	return c.ExecuteContext(c.ctx, observe)
+	return c.ExecuteBatchesFunc(c.ctx, 0, c.NumBatches(), observe, nil)
 }
 
 // ---------------------------------------------------------------------------
@@ -563,42 +553,11 @@ func NewService(cfg ServiceConfig) (*Service, error) { return service.New(cfg) }
 // distributed lease fabric should instead submit a JobMultiFault request to
 // a Service the caller configures and keeps.
 func MultiFault(ctx context.Context, design DesignSpec, spec MultiFaultSpec) (*MultiFaultResult, error) {
-	if ctx == nil {
-		return nil, errors.New("scone: nil context in MultiFault")
-	}
-	svc, err := service.New(service.Config{Workers: 1})
+	res, err := runEphemeral(ctx, service.JobRequest{Kind: service.KindMultiFault, Design: design, MultiFault: &spec})
 	if err != nil {
 		return nil, err
 	}
-	defer svc.Close()
-	st, err := svc.Submit(service.JobRequest{Kind: service.KindMultiFault, Design: design, MultiFault: &spec})
-	if err != nil {
-		return nil, err
-	}
-	ch, off, err := svc.Watch(st.ID)
-	if err != nil {
-		return nil, err
-	}
-	defer off()
-	for {
-		select {
-		case <-ctx.Done():
-			_, _ = svc.Cancel(st.ID)
-			return nil, ctx.Err()
-		case _, ok := <-ch:
-			if ok {
-				continue // progress event; only the stream close matters here
-			}
-			final, err := svc.Get(st.ID)
-			if err != nil {
-				return nil, err
-			}
-			if final.State != service.StateDone || final.Result == nil || final.Result.MultiFault == nil {
-				return nil, fmt.Errorf("scone: multifault sweep ended %s: %s", final.State, final.Error)
-			}
-			return final.Result.MultiFault, nil
-		}
-	}
+	return res.MultiFault, nil
 }
 
 // Leakage executes a TVLA leakage evaluation in-process: an ephemeral
@@ -607,15 +566,25 @@ func MultiFault(ctx context.Context, design DesignSpec, spec MultiFaultSpec) (*M
 // should instead submit a JobLeakage request to a Service the caller
 // configures and keeps.
 func Leakage(ctx context.Context, design DesignSpec, spec LeakageSpec) (*LeakageResult, error) {
+	res, err := runEphemeral(ctx, service.JobRequest{Kind: service.KindLeakage, Design: design, Leakage: &spec})
+	if err != nil {
+		return nil, err
+	}
+	return res.Leakage, nil
+}
+
+// runEphemeral runs one job request to completion on an ephemeral
+// single-worker Service, canceling the job when ctx ends.
+func runEphemeral(ctx context.Context, req service.JobRequest) (*service.JobResult, error) {
 	if ctx == nil {
-		return nil, errors.New("scone: nil context in Leakage")
+		return nil, fmt.Errorf("scone: nil context in %s job", req.Kind)
 	}
 	svc, err := service.New(service.Config{Workers: 1})
 	if err != nil {
 		return nil, err
 	}
 	defer svc.Close()
-	st, err := svc.Submit(service.JobRequest{Kind: service.KindLeakage, Design: design, Leakage: &spec})
+	st, err := svc.Submit(req)
 	if err != nil {
 		return nil, err
 	}
@@ -637,10 +606,10 @@ func Leakage(ctx context.Context, design DesignSpec, spec LeakageSpec) (*Leakage
 			if err != nil {
 				return nil, err
 			}
-			if final.State != service.StateDone || final.Result == nil || final.Result.Leakage == nil {
-				return nil, fmt.Errorf("scone: leakage evaluation ended %s: %s", final.State, final.Error)
+			if final.State != service.StateDone || final.Result == nil {
+				return nil, fmt.Errorf("scone: %s job ended %s: %s", req.Kind, final.State, final.Error)
 			}
-			return final.Result.Leakage, nil
+			return final.Result, nil
 		}
 	}
 }
