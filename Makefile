@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-full bench-smoke fmt fmt-check vet lint sconelint fuzz serve e2e e2e-dist e2e-store e2e-prove e2e-multifault e2e-leakage ci
+.PHONY: all build test race bench bench-test bench-full bench-smoke fmt fmt-check vet lint sconelint fuzz serve e2e e2e-dist e2e-store e2e-prove e2e-multifault e2e-leakage ci
 
 all: build test
 
@@ -15,13 +15,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Campaign benchmark suite: PRESENT-80 across all three entropy variants
-# plus the k=2 multi-fault plan sweep and the engine-configuration scaling
-# matrix (lane widths x workers x batch sizes), written to BENCH_PR10.json
-# (runs/sec, ns/eval, allocs). CI uploads the report as an artifact so the
-# perf trajectory is tracked per commit.
+# The repository's benchmark (sconeperf/, declared by BENCHMARK.json) at
+# smoke-test size: every workload for about a second, every output
+# checked, one JSON result line. sconeperf/README.md covers full-length
+# runs, traced runs and comparing two commits.
 bench:
-	$(GO) run ./cmd/sconebench -short
+	bash sconeperf/run.sh --short
+
+# The benchmark's own tests. sconeperf is a nested module that the root
+# `go test ./...` skips; its tests run every workload once end to end and
+# once traced (about a minute), including the W=2/W=4 lane-width replays.
+bench-test:
+	$(GO) -C sconeperf vet .
+	$(GO) -C sconeperf test .
 
 # Full go-test benchmark run (slow; one benchmark per paper table/figure
 # plus the raw gate-eval throughput benchmarks).
@@ -125,4 +131,4 @@ sconelint:
 fuzz:
 	$(GO) test -run=Fuzz ./internal/netlist ./internal/lint ./internal/store ./internal/prove ./internal/plan
 
-ci: fmt-check build lint test race bench-smoke fuzz sconelint
+ci: fmt-check build lint test race bench-smoke bench-test fuzz sconelint

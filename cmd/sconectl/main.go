@@ -306,7 +306,6 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string, stdout, std
 	fs.SetOutput(stderr)
 	kind := fs.String("kind", "campaign", "job kind: campaign, multifault, dfa, sifa, fta, area, lint, prove, leakage")
 	design := cliflags.RegisterDesign(fs)
-	engine := cliflags.RegisterEngine(fs)
 	netlistPath := fs.String("netlist", "", "netlist file to upload (area/lint/prove jobs)")
 	runs := fs.Int("runs", 80000, "campaign: simulated encryptions")
 	seed := fs.String("seed", "0x5C09E2021", "campaign/attack seed")
@@ -354,10 +353,6 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string, stdout, std
 		}
 		req.Design = service.DesignSpec{Netlist: string(b)}
 	}
-	engineCfg, err := engine.Config()
-	if err != nil {
-		return err
-	}
 	switch req.Kind {
 	case service.KindCampaign:
 		req.Campaign = &service.CampaignSpec{
@@ -367,9 +362,6 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string, stdout, std
 			Faults: []service.FaultSpec{{
 				Branch: *branch, Sbox: *sbox, Bit: *bit, Model: *model,
 			}},
-			LaneWords: engineCfg.LaneWords,
-			Workers:   engineCfg.Parallelism,
-			BatchRuns: engineCfg.BatchRuns,
 		}
 	case service.KindMultiFault:
 		idx, err := parseInts(*sboxes)

@@ -182,10 +182,6 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unexpected arguments") {
 		t.Fatalf("stray argument: %v", err)
 	}
-	err = run(context.Background(), []string{"-lanes", "5"}, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "lane words") {
-		t.Fatalf("invalid lane width: %v", err)
-	}
 }
 
 func TestDaemonStatePersistsAcrossRestart(t *testing.T) {

@@ -1,19 +1,18 @@
 // Package cliflags gives the scone command-line tools one shared spelling
-// of the design-selection flags. sconectl, sconesim, sconeattack and
-// sconebench all register the same -spec / -scheme / -entropy / -engine
-// surface (with identical defaults and help strings) through RegisterDesign,
-// and the values flow through service.ParseDesign — the same vocabulary the
+// of the design-selection flags. sconectl, sconesim and sconeattack all
+// register the same -spec / -scheme / -entropy / -engine surface (with
+// identical defaults and help strings) through RegisterDesign, and the
+// values flow through service.ParseDesign — the same vocabulary the
 // daemon's wire schema uses — so a design named on any CLI is a design the
-// HTTP API accepts verbatim. RegisterEngine does the same for the engine
-// configuration surface (-lanes / -parallel / -batch-runs), which maps onto
-// fault.EngineConfig.
+// HTTP API accepts verbatim. There is deliberately no shared engine flag
+// surface: campaign execution policy is a host setting (sconed
+// -sim-workers), never part of what a client asks for.
 package cliflags
 
 import (
 	"flag"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/service"
 	"repro/internal/spn"
 )
@@ -75,40 +74,4 @@ func (d *Design) Parse() (*spn.Spec, core.Options, error) {
 // Build synthesises the selected design.
 func (d *Design) Build() (*core.Design, error) {
 	return service.BuildDesign(d.DesignSpec())
-}
-
-// Engine holds the shared engine-configuration flag values after parsing:
-// the execution-policy knobs of fault.EngineConfig. Every configuration
-// computes bit-identical campaign results; these flags only choose how fast
-// the machine computes them.
-type Engine struct {
-	Lanes     int
-	Parallel  int
-	BatchRuns int
-}
-
-// RegisterEngine installs the shared engine-configuration flag surface on
-// fs:
-//
-//	-lanes      engine word width W (1, 2 or 4): one simulator pass
-//	            evaluates W×64 lanes
-//	-parallel   worker goroutines per campaign (0 = GOMAXPROCS)
-//	-batch-runs runs per worker dispatch, rounded up to whole lane
-//	            groups (0 = one lane group)
-func RegisterEngine(fs *flag.FlagSet) *Engine {
-	e := &Engine{}
-	fs.IntVar(&e.Lanes, "lanes", 1, "engine word width: 1, 2 or 4 (one pass evaluates width x 64 lanes)")
-	fs.IntVar(&e.Parallel, "parallel", 0, "worker goroutines per campaign (0 = GOMAXPROCS)")
-	fs.IntVar(&e.BatchRuns, "batch-runs", 0, "runs per worker dispatch, rounded up to whole lane groups (0 = one lane group)")
-	return e
-}
-
-// Config validates the flag values and converts them to the engine
-// configuration.
-func (e *Engine) Config() (fault.EngineConfig, error) {
-	cfg := fault.EngineConfig{LaneWords: e.Lanes, Parallelism: e.Parallel, BatchRuns: e.BatchRuns}
-	if err := cfg.Validate(); err != nil {
-		return fault.EngineConfig{}, err
-	}
-	return cfg, nil
 }

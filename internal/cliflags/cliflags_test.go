@@ -103,63 +103,6 @@ func TestIsDefault(t *testing.T) {
 	}
 }
 
-// TestEngineFlagSurface pins the shared engine-configuration surface the
-// same way TestFlagSurface pins the design surface.
-func TestEngineFlagSurface(t *testing.T) {
-	fs := newFS()
-	RegisterEngine(fs)
-	for _, tc := range []struct {
-		name, def string
-	}{
-		{"lanes", "1"},
-		{"parallel", "0"},
-		{"batch-runs", "0"},
-	} {
-		f := fs.Lookup(tc.name)
-		if f == nil {
-			t.Errorf("-%s not registered", tc.name)
-			continue
-		}
-		if f.DefValue != tc.def {
-			t.Errorf("-%s default %q, want %q", tc.name, f.DefValue, tc.def)
-		}
-	}
-}
-
-func TestEngineConfig(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		args []string
-		bad  bool
-	}{
-		{name: "defaults", args: nil},
-		{name: "wide parallel", args: []string{"-lanes", "4", "-parallel", "8", "-batch-runs", "1024"}},
-		{name: "bad width", args: []string{"-lanes", "3"}, bad: true},
-		{name: "negative parallel", args: []string{"-parallel", "-1"}, bad: true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			fs := newFS()
-			e := RegisterEngine(fs)
-			if err := fs.Parse(tc.args); err != nil {
-				t.Fatal(err)
-			}
-			cfg, err := e.Config()
-			if tc.bad {
-				if err == nil {
-					t.Fatalf("accepted %+v", e)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cfg.LaneWords != e.Lanes || cfg.Parallelism != e.Parallel || cfg.BatchRuns != e.BatchRuns {
-				t.Fatalf("config %+v does not mirror flags %+v", cfg, e)
-			}
-		})
-	}
-}
-
 func TestBuildDefault(t *testing.T) {
 	fs := newFS()
 	d := RegisterDesign(fs)

@@ -75,12 +75,11 @@ type Campaign struct {
 	Faults []Fault
 	Runs   int
 	Seed   uint64
-	// Engine configures the execution engine: lane width, parallelism and
-	// dispatch granularity. The zero value is the legacy configuration
-	// (single-word passes, GOMAXPROCS workers, one lane group per
-	// dispatch). Execution configuration is pure policy — results, golden
-	// digests and stored content addresses are identical across all valid
-	// configurations.
+	// Engine configures the execution engine: lane width and parallelism.
+	// The zero value is the default configuration (single-word passes,
+	// GOMAXPROCS workers). Execution configuration is pure policy —
+	// results, golden digests and stored content addresses are identical
+	// across all valid configurations.
 	Engine EngineConfig
 	// Persistent, when non-nil, corrupts one S-box table entry before
 	// the campaign starts: every branch of every run computes with the
@@ -229,65 +228,59 @@ func (c *Campaign) ExecuteBatchesFunc(ctx context.Context, first, last int, obse
 	if first == last {
 		return Result{}, nil
 	}
-	numShards := (last - first + cfg.shardBatches - 1) / cfg.shardBatches
+	w := cfg.laneWords
 	workers := cfg.workers
-	if workers > numShards {
-		workers = numShards
+	if groups := (last - first + w - 1) / w; workers > groups {
+		workers = groups
 	}
 
 	inj := NewInjector(c.Faults...)
-	met.Load().setLaneWords(cfg.laneWords)
+	met.Load().setLaneWords(w)
 
-	shardCh := make(chan [2]int)
-	outCh := make(chan batchOut, workers*cfg.laneWords)
+	groupCh := make(chan int)
+	outCh := make(chan batchOut, workers*w)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			gr := c.newGroupRunner(cfg.laneWords, simD, compiled, inj)
-			outs := make([]batchOut, cfg.laneWords)
-			for sh := range shardCh {
-				// Walk the shard one lane group at a time: up to
-				// laneWords consecutive batches per simulator pass.
-				for b := sh[0]; b < sh[1]; b += cfg.laneWords {
-					g := cfg.laneWords
-					if b+g > sh[1] {
-						g = sh[1] - b
-					}
-					var start time.Time
-					mm := met.Load()
-					if mm != nil {
-						start = time.Now()
-					}
+			gr := c.newGroupRunner(w, simD, compiled, inj)
+			outs := make([]batchOut, w)
+			// Each dispatch is one lane group: up to w consecutive
+			// batches evaluated in one simulator pass.
+			for b := range groupCh {
+				g := w
+				if b+g > last {
+					g = last - b
+				}
+				var start time.Time
+				mm := met.Load()
+				if mm != nil {
+					start = time.Now()
+				}
+				for j := 0; j < g; j++ {
+					outs[j] = batchOut{batch: b + j}
+				}
+				gr.runGroup(b, g, outs[:g], observe != nil)
+				if mm != nil {
+					ns := time.Since(start).Nanoseconds() / int64(g)
 					for j := 0; j < g; j++ {
-						outs[j] = batchOut{batch: b + j}
+						mm.countBatch(ns, len(c.Faults), outs[j].res)
 					}
-					gr.runGroup(b, g, outs[:g], observe != nil)
-					if mm != nil {
-						ns := time.Since(start).Nanoseconds() / int64(g)
-						for j := 0; j < g; j++ {
-							mm.countBatch(ns, len(c.Faults), outs[j].res)
-						}
-					}
-					for j := 0; j < g; j++ {
-						outCh <- outs[j]
-					}
+				}
+				for j := 0; j < g; j++ {
+					outCh <- outs[j]
 				}
 			}
 		}()
 	}
-	// The feeder hands each worker a contiguous shard of whole lane
-	// groups and stops dispatching once ctx is done; shards already
-	// handed to a worker run to completion, so the completed set is a
-	// contiguous prefix of the range.
+	// The feeder hands out lane groups in batch order and stops
+	// dispatching once ctx is done; groups already handed to a worker run
+	// to completion, so the completed set is a contiguous prefix of the
+	// range.
 	go func() {
-		defer close(shardCh)
-		for lo := first; lo < last; lo += cfg.shardBatches {
-			hi := lo + cfg.shardBatches
-			if hi > last {
-				hi = last
-			}
+		defer close(groupCh)
+		for b := first; b < last; b += w {
 			// Checking Err first makes an already-cancelled context
 			// deterministic: select alone picks randomly when both the
 			// send and Done are ready.
@@ -295,7 +288,7 @@ func (c *Campaign) ExecuteBatchesFunc(ctx context.Context, first, last int, obse
 				return
 			}
 			select {
-			case shardCh <- [2]int{lo, hi}:
+			case groupCh <- b:
 				met.Load().countShard()
 			case <-ctx.Done():
 				return

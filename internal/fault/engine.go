@@ -10,53 +10,44 @@ import (
 	"repro/internal/spn"
 )
 
-// EngineConfig is the first-class execution configuration of the campaign
-// engine: lane width, worker parallelism and dispatch granularity. It is
-// pure execution policy — every configuration computes bit-identical
-// results from the same (Design, Key, Faults, Runs, Seed), and none of its
-// fields enter a campaign's content address, so cached batches replay
-// across configurations.
+// EngineConfig is the execution configuration of the campaign engine: lane
+// width and worker parallelism. It is pure execution policy — every
+// configuration computes bit-identical results from the same (Design, Key,
+// Faults, Runs, Seed), and none of its fields enter a campaign's content
+// address, so cached batches replay across configurations.
 //
-// The zero value selects the legacy defaults (single-word 64-lane passes,
-// GOMAXPROCS workers, one lane group per dispatch). Validate rejects
-// impossible configurations; the executor validates before instantiating
-// any engine, and the sconevet enginecfg pass keeps direct engine
-// construction out of the rest of the tree.
+// The zero value selects the defaults (single-word 64-lane passes,
+// GOMAXPROCS workers). Validate rejects impossible configurations; the
+// executor validates before instantiating any engine, and the sconevet
+// enginecfg pass keeps direct engine construction out of the rest of the
+// tree.
 type EngineConfig struct {
 	// LaneWords selects the simulator word width W: one pass evaluates
 	// W×64 lanes, executing W consecutive 64-run batches together. Wider
 	// words amortise instruction dispatch over SIMD-shaped inner loops.
 	// 0 means 1; valid widths are 1, 2 and 4.
 	LaneWords int
-	// Parallelism bounds the worker goroutines sharding the batch range
-	// (0 = GOMAXPROCS). Workers own contiguous shards, so scheduling
+	// Parallelism bounds the worker goroutines sharing the batch range
+	// (0 = GOMAXPROCS). Workers take one lane group at a time in batch
+	// order, and the reorder buffer restores that order, so scheduling
 	// never reorders results.
 	Parallelism int
-	// BatchRuns is the number of runs dispatched to a worker at a time,
-	// rounded up to whole lane groups (LaneWords×64 runs); 0 means one
-	// lane group. Larger shards reduce dispatch overhead on huge
-	// campaigns; cancellation trims whole shards off the tail.
-	BatchRuns int
 }
 
 // DefaultEngineConfig returns the explicit form of the zero-value
-// configuration: width 1, GOMAXPROCS parallelism, one lane group per
-// dispatch.
+// configuration: width 1, GOMAXPROCS parallelism.
 func DefaultEngineConfig() EngineConfig {
 	return EngineConfig{LaneWords: 1}
 }
 
 // Validate rejects configurations the engine cannot run: an unsupported
-// lane width or negative parallelism/batch size.
+// lane width or negative parallelism.
 func (c EngineConfig) Validate() error {
 	if c.LaneWords != 0 && !sim.ValidLaneWords(c.LaneWords) {
 		return fmt.Errorf("fault: engine lane words must be 1, 2 or 4 (got %d)", c.LaneWords)
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("fault: engine parallelism must be non-negative (got %d)", c.Parallelism)
-	}
-	if c.BatchRuns < 0 {
-		return fmt.Errorf("fault: engine batch runs must be non-negative (got %d)", c.BatchRuns)
 	}
 	return nil
 }
@@ -73,9 +64,8 @@ func (c EngineConfig) Lanes() int {
 
 // resolvedEngine is a validated EngineConfig with every default applied.
 type resolvedEngine struct {
-	laneWords    int // simulator word width W (1, 2 or 4)
-	workers      int // worker goroutine count
-	shardBatches int // 64-run batches per dispatched shard (multiple of laneWords)
+	laneWords int // simulator word width W (1, 2 or 4)
+	workers   int // worker goroutine count
 }
 
 // resolve validates the configuration and applies defaults.
@@ -90,12 +80,6 @@ func (c EngineConfig) resolve() (resolvedEngine, error) {
 	if r.workers <= 0 {
 		r.workers = runtime.GOMAXPROCS(0)
 	}
-	groupRuns := r.laneWords * sim.Lanes
-	br := c.BatchRuns
-	if br <= 0 {
-		br = groupRuns
-	}
-	r.shardBatches = (br + groupRuns - 1) / groupRuns * r.laneWords
 	return r, nil
 }
 

@@ -24,8 +24,7 @@ func TestEngineConfigValidate(t *testing.T) {
 		{"width-8", EngineConfig{LaneWords: 8}, false},
 		{"width-negative", EngineConfig{LaneWords: -1}, false},
 		{"parallelism-negative", EngineConfig{Parallelism: -2}, false},
-		{"batch-runs-negative", EngineConfig{BatchRuns: -64}, false},
-		{"full", EngineConfig{LaneWords: 4, Parallelism: 8, BatchRuns: 1024}, true},
+		{"full", EngineConfig{LaneWords: 4, Parallelism: 8}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -60,9 +59,6 @@ func TestEngineConfigResolveDefaults(t *testing.T) {
 	if want := runtime.GOMAXPROCS(0); r.workers != want {
 		t.Errorf("workers = %d, want GOMAXPROCS %d", r.workers, want)
 	}
-	if r.shardBatches != 1 {
-		t.Errorf("shardBatches = %d, want 1", r.shardBatches)
-	}
 
 	// Explicit parallelism is honoured.
 	r, err = EngineConfig{Parallelism: 5}.resolve()
@@ -71,15 +67,6 @@ func TestEngineConfigResolveDefaults(t *testing.T) {
 	}
 	if r.workers != 5 {
 		t.Errorf("workers = %d, want 5", r.workers)
-	}
-
-	// BatchRuns rounds up to whole lane groups.
-	r, err = EngineConfig{LaneWords: 4, BatchRuns: 300}.resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.shardBatches != 8 {
-		t.Errorf("shardBatches = %d, want 8 (300 runs -> 2 groups of 4 batches)", r.shardBatches)
 	}
 
 	if _, err := (EngineConfig{LaneWords: 3}).resolve(); err == nil {
@@ -170,7 +157,7 @@ func TestEngineConfigGoldenDigestsUnchanged(t *testing.T) {
 				Faults: []Fault{At(net, StuckAt0, d.LastRoundCycle())},
 				Runs:   1000,
 				Seed:   0x5C09E2021,
-				Engine: EngineConfig{LaneWords: 4, Parallelism: 8, BatchRuns: 512},
+				Engine: EngineConfig{LaneWords: 4, Parallelism: 8},
 			}
 			res, digest := hashRuns(t, &camp)
 			if res.Counts != tc.wantCounts {
@@ -180,34 +167,6 @@ func TestEngineConfigGoldenDigestsUnchanged(t *testing.T) {
 				t.Errorf("run-stream digest = %#x, want %#x", digest, tc.wantDigest)
 			}
 		})
-	}
-}
-
-// TestEngineConfigBatchRunsInvariance proves dispatch granularity is pure
-// policy: any shard size yields the identical run stream.
-func TestEngineConfigBatchRunsInvariance(t *testing.T) {
-	d := goldenDesign(t, core.SchemeThreeInOne)
-	net := d.SboxInputNet(core.BranchActual, 5, 1)
-	var ref Result
-	var refDigest uint64
-	for i, br := range []int{0, 64, 128, 500, 4096} {
-		camp := Campaign{
-			Design: d,
-			Key:    goldenKey,
-			Faults: []Fault{At(net, BitFlip, d.LastRoundCycle())},
-			Runs:   700,
-			Seed:   99,
-			Engine: EngineConfig{LaneWords: 2, Parallelism: 3, BatchRuns: br},
-		}
-		res, digest := hashRuns(t, &camp)
-		if i == 0 {
-			ref, refDigest = res, digest
-			continue
-		}
-		if res != ref || digest != refDigest {
-			t.Errorf("BatchRuns=%d: (result, digest) = (%v, %#x), want (%v, %#x)",
-				br, res, digest, ref, refDigest)
-		}
 	}
 }
 

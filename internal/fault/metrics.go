@@ -52,7 +52,7 @@ func EnableObservability(reg *obs.Registry) {
 		corrected:   reg.NewCounter("scone_fault_corrected_total", "Runs where the majority vote sensed and recovered a fault"),
 		batchNS:     reg.NewHistogram("scone_fault_batch_ns", "Wall time of one 64-run batch (a wide pass's time split across its batches)", obs.ExpBuckets(4_000, 4, 14)),
 		reorder:     reg.NewGauge("scone_fault_reorder_depth_count", "Batches parked in the reorder buffer awaiting in-order delivery"),
-		shards:      reg.NewCounter("scone_fault_shards_total", "Contiguous batch shards dispatched to campaign workers"),
+		shards:      reg.NewCounter("scone_fault_shards_total", "Lane groups dispatched to campaign workers"),
 		laneWords:   reg.NewGauge("scone_fault_lane_words_count", "Engine word width W of the most recently started campaign execution"),
 
 		runsReplayed:    reg.NewCounter("scone_fault_runs_replayed_total", "Campaign runs served from the result store without simulation"),
@@ -97,7 +97,7 @@ func (m *metrics) setReorderDepth(n int) {
 	m.reorder.Set(int64(n))
 }
 
-// countShard records one shard handed to a worker.
+// countShard records one lane group handed to a worker.
 func (m *metrics) countShard() {
 	if m == nil {
 		return

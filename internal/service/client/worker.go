@@ -34,12 +34,9 @@ type WorkerConfig struct {
 	// Default 4.
 	ChunkBatches int
 	// SimWorkers bounds the goroutines of one lease execution; 0 lets the
-	// engine default (GOMAXPROCS).
+	// engine default (GOMAXPROCS). Pure execution policy: reported counts
+	// are bit-identical at every setting.
 	SimWorkers int
-	// SimLaneWords is the engine word width of lease executions (1, 2 or
-	// 4); 0 means 1. Pure execution policy: reported counts are
-	// bit-identical at every width.
-	SimLaneWords int
 	// OnLease, when set, runs synchronously after every successful
 	// acquire, before execution starts — the hook deterministic tests use
 	// to kill a worker at a known point.
@@ -269,8 +266,7 @@ func (w *Worker) execute(ctx context.Context, grant service.LeaseGrant) {
 	}
 
 	rep := service.LeaseReport{WorkerID: w.ID()}
-	camp, err := service.BuildCampaign(grant.Design, &grant.Campaign,
-		service.EngineDefaults{Workers: w.cfg.SimWorkers, LaneWords: w.cfg.SimLaneWords})
+	camp, err := service.BuildCampaign(grant.Design, &grant.Campaign, service.EngineDefaults{Workers: w.cfg.SimWorkers})
 	if err != nil {
 		rep.Error = err.Error()
 		_ = w.client.FailLease(ctx, grant.LeaseID, rep)

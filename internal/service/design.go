@@ -186,16 +186,13 @@ func buildLeakage(req JobRequest) (*leakage.Evaluator, error) {
 	})
 }
 
-// EngineDefaults carries a host's execution-policy defaults — the values a
-// campaign spec falls back to when its own Workers/LaneWords fields are
-// zero. The service fills it from Config, the distributed worker from its
-// WorkerConfig; either way it never influences results or content
-// addresses, only how fast the machine computes them.
+// EngineDefaults carries a host's execution policy: the service fills it
+// from Config, the distributed worker from its WorkerConfig. It never
+// influences results or content addresses, only how fast the machine
+// computes them.
 type EngineDefaults struct {
-	// Workers is the fallback simulation parallelism (0 = GOMAXPROCS).
+	// Workers is the simulation parallelism (0 = GOMAXPROCS).
 	Workers int
-	// LaneWords is the fallback engine word width (0 = 1).
-	LaneWords int
 }
 
 // BuildCampaign synthesises the design and assembles the engine campaign
@@ -226,7 +223,7 @@ func buildCampaign(d *core.Design, cs *CampaignSpec, def EngineDefaults) (*fault
 		Faults: faults,
 		Runs:   cs.Runs,
 		Seed:   uint64(cs.Seed),
-		Engine: cs.engineConfig(def),
+		Engine: fault.EngineConfig{Parallelism: def.Workers},
 	}
 	if cs.Persistent != nil {
 		p := fault.PersistentFault{Entry: cs.Persistent.Entry, Mask: uint64(cs.Persistent.Mask)}

@@ -602,7 +602,9 @@ func (c *coordinator) progress(leaseID string, rep LeaseReport) error {
 }
 
 // complete finalises a lease: its counts enter the job's merge table and
-// the contiguous prefix is folded forward in batch order.
+// the contiguous prefix is folded forward in batch order. A report that
+// cannot be the range's tally is rejected before anything changes; the
+// worker then fails the lease back for a charged retry.
 func (c *coordinator) complete(leaseID string, rep LeaseReport) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -618,6 +620,9 @@ func (c *coordinator) complete(leaseID string, rep LeaseReport) error {
 	if dj == nil {
 		return ErrUnknownLease
 	}
+	if err := checkCompletion(dj.t.camp, l.first, l.last, rep); err != nil {
+		return fmt.Errorf("lease %s: %w", l.id, err)
+	}
 	l.state = LeaseDone
 	w.active--
 	w.completed++
@@ -630,10 +635,9 @@ func (c *coordinator) complete(leaseID string, rep LeaseReport) error {
 		}
 	}
 	// Persist the worker's per-batch tallies under their content addresses
-	// before merging. The length check rejects malformed reports; PutBatch
-	// itself rejects tallies that contradict an existing record, so a buggy
-	// or malicious worker cannot silently poison the cache.
-	if dj.t.useStore && len(rep.Batches) == l.last-l.first {
+	// before merging. checkCompletion has matched them to the range;
+	// PutBatch itself rejects tallies that contradict an existing record.
+	if dj.t.useStore && len(rep.Batches) > 0 {
 		for i, cb := range rep.Batches {
 			bi := l.first + i
 			k := store.BatchKey{Campaign: dj.t.digest, Batch: bi, Runs: dj.t.camp.BatchRuns(bi)}
@@ -643,6 +647,53 @@ func (c *coordinator) complete(leaseID string, rep LeaseReport) error {
 	dj.completed[l.first] = completedRange{last: l.last, counts: rep.Counts}
 	if dj.foldLocked() {
 		dj.wake()
+	}
+	return nil
+}
+
+// checkCompletion rejects a completion report that cannot be the tally of
+// camp's batch range [first, last): a total other than the range's run
+// count, outcome counts that do not partition it, or per-batch tallies that
+// are not one exact tally per batch summing to the report's counts. A
+// range's tally is a pure function of the campaign, so an honest worker
+// never fails these checks, and a report that does would change a result
+// the determinism contract says is bit-identical.
+func checkCompletion(camp *fault.Campaign, first, last int, rep LeaseReport) error {
+	runs := 0
+	for b := first; b < last; b++ {
+		runs += camp.BatchRuns(b)
+	}
+	if err := checkTally(rep.Counts, runs); err != nil {
+		return fmt.Errorf("report counts: %w", err)
+	}
+	if len(rep.Batches) == 0 {
+		return nil
+	}
+	if len(rep.Batches) != last-first {
+		return fmt.Errorf("report carries %d batch tallies for %d batches", len(rep.Batches), last-first)
+	}
+	var sum CampaignResult
+	for i, bt := range rep.Batches {
+		if err := checkTally(bt, camp.BatchRuns(first+i)); err != nil {
+			return fmt.Errorf("report batch %d: %w", first+i, err)
+		}
+		sum.Accumulate(bt)
+	}
+	if sum != rep.Counts {
+		return fmt.Errorf("report batch tallies sum to %+v, not its counts %+v", sum, rep.Counts)
+	}
+	return nil
+}
+
+// checkTally requires a tally of exactly runs runs whose outcome counts are
+// non-negative and sum to its total.
+func checkTally(c CampaignResult, runs int) error {
+	if c.Total != runs {
+		return fmt.Errorf("total %d, want %d runs", c.Total, runs)
+	}
+	if c.Ineffective < 0 || c.Detected < 0 || c.Effective < 0 || c.Corrected < 0 ||
+		c.Ineffective+c.Detected+c.Effective+c.Corrected != c.Total {
+		return fmt.Errorf("outcome counts %+v do not partition %d runs", c, c.Total)
 	}
 	return nil
 }

@@ -95,7 +95,7 @@ func TestCoordinatorGrantOrderAndMerge(t *testing.T) {
 		t.Fatalf("cursor advanced past a gap: cursor %d acc %+v", p.cursor, p.acc)
 	}
 	if err := c.complete(g1.LeaseID, LeaseReport{
-		WorkerID: w1.WorkerID, Counts: CampaignResult{Total: 128, Detected: 100},
+		WorkerID: w1.WorkerID, Counts: CampaignResult{Total: 128, Ineffective: 28, Detected: 100},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -287,6 +287,52 @@ func TestCoordinatorRegisterFromCheckpoint(t *testing.T) {
 	p = c.snapshot("j1")
 	if p.cursor != 5 || !p.done || p.acc.Total != 320 || p.acc.Detected != 300 || p.acc.Ineffective != 20 {
 		t.Fatalf("resumed job final: cursor %d acc %+v", p.cursor, p.acc)
+	}
+}
+
+// TestCoordinatorRejectsMalformedCompletion: a completion report that cannot
+// be the tally of its lease's range is refused with the typed 400 and
+// changes nothing — the lease stays the worker's and the merge cursor does
+// not move — while the honest report for the same lease is merged.
+func TestCoordinatorRejectsMalformedCompletion(t *testing.T) {
+	c := newCoordinator(DistConfig{LeaseBatches: 2, LeaseTTL: time.Hour})
+	c.register(distTask("j1"), 0, CampaignResult{})
+	w := c.join(JoinRequest{})
+	g := acquirePoll(t, c, w.WorkerID)
+	if g.FirstBatch != 0 || g.LastBatch != 2 {
+		t.Fatalf("grant %+v", g)
+	}
+	honest := CampaignResult{Total: 128, Ineffective: 28, Detected: 100}
+	for _, tc := range []struct {
+		name string
+		rep  LeaseReport
+	}{
+		{"total is not the range's runs", LeaseReport{Counts: CampaignResult{Total: 127, Ineffective: 27, Detected: 100}}},
+		{"outcomes do not sum to the total", LeaseReport{Counts: CampaignResult{Total: 128, Detected: 100}}},
+		{"batch tallies are not per-batch", LeaseReport{Counts: honest, Batches: []CampaignResult{
+			{Total: 100, Detected: 100}, {Total: 28, Ineffective: 28},
+		}}},
+	} {
+		tc.rep.WorkerID = w.WorkerID
+		err := c.complete(g.LeaseID, tc.rep)
+		if status, code := errorStatus(err); err == nil || status != 400 || code != CodeInvalidRequest {
+			t.Errorf("%s: complete = %v (%d %s), want a 400 %s", tc.name, err, status, code, CodeInvalidRequest)
+		}
+		if p := c.snapshot("j1"); p.cursor != 0 || p.acc.Total != 0 {
+			t.Fatalf("%s: rejected report merged: cursor %d acc %+v", tc.name, p.cursor, p.acc)
+		}
+		if ls := c.leasesInfo(); ls[0].State != LeaseActive || ls[0].Worker != w.WorkerID {
+			t.Fatalf("%s: rejected report released the lease: %+v", tc.name, ls[0])
+		}
+	}
+
+	if err := c.complete(g.LeaseID, LeaseReport{WorkerID: w.WorkerID, Counts: honest, Batches: []CampaignResult{
+		{Total: 64, Ineffective: 14, Detected: 50}, {Total: 64, Ineffective: 14, Detected: 50},
+	}}); err != nil {
+		t.Fatalf("honest report rejected: %v", err)
+	}
+	if p := c.snapshot("j1"); p.cursor != 2 || p.acc != honest {
+		t.Fatalf("honest report: cursor %d acc %+v", p.cursor, p.acc)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"reflect"
 	"testing"
 
 	"repro/internal/service"
@@ -62,5 +63,44 @@ func TestE2ETypedErrorEnvelope(t *testing.T) {
 		if r.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s: status %d, want 404", path, r.StatusCode)
 		}
+	}
+}
+
+// TestE2EResultsQueryRejectsUnknownParameters: GET /v1/results refuses a
+// query key outside its vocabulary with the typed 400, the way POST
+// /v1/jobs refuses unknown fields, instead of answering for the default
+// campaign; every key the client encoder emits is inside the vocabulary.
+func TestE2EResultsQueryRejectsUnknownParameters(t *testing.T) {
+	_, c := startDaemon(t, service.Config{Workers: 1})
+	for _, query := range []string{"sboxx=3", "runs=64&lane_words=4", "seed=0x1&Seed=0x2"} {
+		resp, err := http.Get(c.BaseURL + "/v1/results?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envelope struct {
+			Error service.ErrorBody `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&envelope)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || envelope.Error.Code != service.CodeInvalidRequest {
+			t.Errorf("GET /v1/results?%s: status %d envelope %+v (%v), want 400 %s",
+				query, resp.StatusCode, envelope, err, service.CodeInvalidRequest)
+		}
+	}
+
+	cycle := 28
+	req := e2eRequest(e2eRuns, "per-sbox")
+	req.Design.Engine, req.Design.SeparateSbox = "bdd", true
+	req.Campaign.Faults[0].Branch, req.Campaign.Faults[0].Cycle = "redundant", &cycle
+	vals, err := service.ResultsQueryValues(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := service.ParseResultsQuery(vals)
+	if err != nil {
+		t.Fatalf("encoded query %q refused: %v", vals.Encode(), err)
+	}
+	if !reflect.DeepEqual(got, req) {
+		t.Fatalf("query round trip:\n got  %+v\n want %+v", got, req)
 	}
 }

@@ -1,82 +1,79 @@
 package service_test
 
-// End-to-end acceptance of the engine-configuration API: lane width, worker
-// parallelism and dispatch granularity are pure execution policy, so a
-// campaign executed under one configuration must be a full store hit for the
-// same campaign submitted under any other — the content address knows
-// nothing about how the batches were computed. This is the wire-level proof
-// behind fault.EngineConfig's "cached batches replay across configurations"
-// contract.
+// End-to-end acceptance that execution policy is a host setting, never part
+// of a campaign: a campaign cached by a daemon simulating at one parallelism
+// must be a full store hit when a daemon with another parallelism opens the
+// same state directory and receives the same submission — the content
+// address knows nothing about how the batches were computed. This is the
+// wire-level proof behind fault.EngineConfig's "cached batches replay
+// across configurations" contract; fault.TestEngineConfigMatrixBitIdentity
+// proves the library side for every lane width × parallelism. Requests no
+// longer carry policy at all, so the wire rejects the retired fields while
+// state directories that recorded them still resume.
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/service"
+	"repro/internal/service/client"
 )
 
-// engineRequest is e2eRequest with explicit execution policy.
-func engineRequest(runs int, entropy string, laneWords, workers, batchRuns int) service.JobRequest {
-	req := e2eRequest(runs, entropy)
-	req.Campaign.LaneWords = laneWords
-	req.Campaign.Workers = workers
-	req.Campaign.BatchRuns = batchRuns
-	return req
-}
-
-// TestE2EStoreReplayAcrossEngineConfigs caches a campaign at the classic
-// width-1 single-worker configuration, then resubmits it at width 4 with
-// eight workers: the second submission must simulate zero runs, replay every
-// batch from the store, and produce the bit-identical result — and the same
-// must hold in the reverse direction (cached wide, replayed narrow).
+// TestE2EStoreReplayAcrossEngineConfigs caches a campaign on a daemon that
+// simulates on one goroutine (narrow), reopens the same state directory as a
+// daemon simulating on eight (wide) and resubmits: the second daemon must
+// simulate zero runs, replay every batch from the store, produce the
+// bit-identical result and record the same campaign digest — and the same
+// must hold in the reverse direction.
 func TestE2EStoreReplayAcrossEngineConfigs(t *testing.T) {
 	cases := []struct {
 		name       string
-		cold, warm service.JobRequest
+		entropy    string
+		cold, warm int // Config.SimWorkers of the first and second daemon
 	}{
-		{
-			name: "narrow-then-wide",
-			cold: engineRequest(e2eRuns, "per-round", 1, 1, 0),
-			warm: engineRequest(e2eRuns, "per-round", 4, 8, 512),
-		},
-		{
-			name: "wide-then-narrow",
-			cold: engineRequest(e2eRuns, "per-sbox", 4, 8, 512),
-			warm: engineRequest(e2eRuns, "per-sbox", 1, 1, 0),
-		},
+		{"narrow-then-wide", "per-round", 1, 8},
+		{"wide-then-narrow", "per-sbox", 8, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := service.Config{Workers: 1, CheckpointEveryRuns: 64, StateDir: t.TempDir()}
+			stateDir := t.TempDir()
+			daemon := func(simWorkers int) (*service.Service, *httptest.Server, *client.Client) {
+				return storeDaemon(t, service.Config{Workers: 1, CheckpointEveryRuns: 64, StateDir: stateDir, SimWorkers: simWorkers})
+			}
 			ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 			defer cancel()
-			svc, srv, c := storeDaemon(t, cfg)
-			defer func() { srv.Close(); svc.Close() }()
+			req := e2eRequest(e2eRuns, tc.entropy)
 
-			entropy := tc.cold.Design.Entropy
-			first := submitAndWait(t, ctx, c, tc.cold)
-			if want := directResult(t, e2eRuns, entropy); first != want {
+			svc, srv, c := daemon(tc.cold)
+			first := submitAndWait(t, ctx, c, req)
+			drainDaemon(t, svc, srv)
+			if want := directResult(t, e2eRuns, tc.entropy); first != want {
 				t.Fatalf("cold run diverged from direct execution:\n got  %+v\n want %+v", first, want)
 			}
 
-			before, err := c.Metrics(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			second := submitAndWait(t, ctx, c, tc.warm)
+			svc, srv, c = daemon(tc.warm)
+			defer func() { srv.Close(); svc.Close() }()
+			second := submitAndWait(t, ctx, c, req)
 			if second != first {
-				t.Fatalf("replayed result diverged across engine configs:\n got  %+v\n want %+v", second, first)
+				t.Fatalf("replayed result diverged across host policies:\n got  %+v\n want %+v", second, first)
 			}
-			after, err := c.Metrics(ctx)
+			m, err := c.Metrics(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sim := after["runs_simulated_total"] - before["runs_simulated_total"]; sim != 0 {
-				t.Errorf("reconfigured resubmission simulated %d runs, want 0", sim)
+			if sim := m["runs_simulated_total"]; sim != 0 {
+				t.Errorf("reconfigured host simulated %d runs, want 0", sim)
 			}
-			if rep := after["runs_replayed_total"] - before["runs_replayed_total"]; rep != e2eRuns {
-				t.Errorf("runs_replayed_total advanced by %d, want %d", rep, e2eRuns)
+			if rep := m["runs_replayed_total"]; rep != e2eRuns {
+				t.Errorf("runs_replayed_total = %d, want %d", rep, e2eRuns)
 			}
 
 			// Both submissions share one campaign digest: execution policy
@@ -89,7 +86,7 @@ func TestE2EStoreReplayAcrossEngineConfigs(t *testing.T) {
 				t.Fatalf("stored %d run records, want 2", len(runs))
 			}
 			if runs[0].Campaign == "" || runs[0].Campaign != runs[1].Campaign {
-				t.Errorf("engine configs changed the campaign digest: %q vs %q",
+				t.Errorf("host policy changed the campaign digest: %q vs %q",
 					runs[0].Campaign, runs[1].Campaign)
 			}
 			if runs[1].SimulatedBatches != 0 || runs[1].ReplayedBatches == 0 {
@@ -99,23 +96,153 @@ func TestE2EStoreReplayAcrossEngineConfigs(t *testing.T) {
 	}
 }
 
+// postJob submits a raw JSON body and returns the response status and the
+// typed error envelope's code ("" on success).
+func postJob(t *testing.T, baseURL, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(baseURL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var envelope struct {
+		Error service.ErrorBody `json:"error"`
+	}
+	_ = json.NewDecoder(resp.Body).Decode(&envelope)
+	return resp.StatusCode, envelope.Error.Code
+}
+
 // TestE2ECampaignSpecRejectsBadEngineConfig pins the synchronous-400
-// contract for the new wire fields.
+// contract for execution policy on the wire: every retired per-request
+// policy field is an unknown field, answered with the typed invalid_request
+// envelope before anything is queued.
 func TestE2ECampaignSpecRejectsBadEngineConfig(t *testing.T) {
-	req := engineRequest(e2eRuns, "prime", 3, 0, 0)
-	if err := req.Validate(); err == nil {
-		t.Error("lane_words=3 validated")
+	svc, c := startDaemon(t, service.Config{Workers: 1})
+	const campaign = `{"kind":"campaign","design":{"cipher":"present80"},"campaign":{"runs":64,"seed":"0x1","key":["0x0","0x0"],"faults":[{"sbox":13,"bit":2}]%s}}`
+	const multifault = `{"kind":"multifault","design":{"cipher":"present80"},"multifault":{"k":2,"sboxes":[13],"runs_per_tuple":64,"seed":"0x1","key":["0x0","0x0"]%s}}`
+	for _, tc := range []struct{ name, body string }{
+		{"campaign workers", fmt.Sprintf(campaign, `,"workers":2`)},
+		{"campaign lane_words", fmt.Sprintf(campaign, `,"lane_words":4`)},
+		{"campaign batch_runs", fmt.Sprintf(campaign, `,"batch_runs":512`)},
+		{"multifault workers", fmt.Sprintf(multifault, `,"workers":2`)},
+	} {
+		if status, code := postJob(t, c.BaseURL, tc.body); status != http.StatusBadRequest || code != service.CodeInvalidRequest {
+			t.Errorf("%s: status %d code %q, want 400 %s", tc.name, status, code, service.CodeInvalidRequest)
+		}
 	}
-	req = engineRequest(e2eRuns, "prime", 0, -1, 0)
-	if err := req.Validate(); err == nil {
-		t.Error("workers=-1 validated")
+	if n := len(svc.List()); n != 0 {
+		t.Errorf("rejected submissions queued %d jobs", n)
 	}
-	req = engineRequest(e2eRuns, "prime", 0, 0, -5)
-	if err := req.Validate(); err == nil {
-		t.Error("batch_runs=-5 validated")
+	// The same bodies without the policy fields are accepted.
+	for _, body := range []string{fmt.Sprintf(campaign, ""), fmt.Sprintf(multifault, "")} {
+		if status, _ := postJob(t, c.BaseURL, body); status != http.StatusAccepted {
+			t.Errorf("policy-free submission: status %d, want 202", status)
+		}
 	}
-	req = engineRequest(e2eRuns, "prime", 2, 4, 128)
-	if err := req.Validate(); err != nil {
-		t.Errorf("valid engine config rejected: %v", err)
+}
+
+// legacyJobRecord is jobs/j000000.json as a daemon that still took
+// execution policy per request wrote it for a campaign drained mid-flight:
+// the request carries workers, lane_words and batch_runs, the state is
+// running and the checkpoint covers the first legacyDoneBatches batches.
+const legacyJobRecord = `{
+  "id": "j000000",
+  "request": {
+    "kind": "campaign",
+    "design": {
+      "cipher": "present80",
+      "scheme": "three-in-one",
+      "entropy": "per-round"
+    },
+    "campaign": {
+      "runs": %d,
+      "seed": "0x5c09e2021",
+      "key": [
+        "0x123456789abcdef",
+        "0x8421"
+      ],
+      "faults": [
+        {
+          "sbox": 13,
+          "bit": 2,
+          "model": "stuck-at-0"
+        }
+      ],
+      "workers": 2,
+      "lane_words": 4,
+      "batch_runs": 512
+    }
+  },
+  "state": "running",
+  "checkpoint": {
+    "next_batch": %d,
+    "counts": %s
+  },
+  "submitted": "2026-10-16T10:20:52.123456789Z"
+}
+`
+
+const legacyDoneBatches = 2
+
+// TestE2ELegacyStateDirResumes opens a state directory written before
+// execution policy left the request: the recorded job must load, resume from
+// its checkpoint (simulating only the remaining batches) and finish with the
+// tally of a direct fault.Campaign.Execute. The same daemon answers a fresh
+// submission carrying lane_words with 400 invalid_request.
+func TestE2ELegacyStateDirResumes(t *testing.T) {
+	req := e2eRequest(e2eRuns, "per-round")
+	camp, err := service.BuildCampaign(req.Design, req.Campaign, service.EngineDefaults{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	defer cancel()
+	prefix, err := camp.ExecuteBatchesFunc(ctx, 0, legacyDoneBatches, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, err := json.Marshal(service.NewCampaignResult(prefix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateDir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(stateDir, "jobs"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rec := fmt.Sprintf(legacyJobRecord, e2eRuns, legacyDoneBatches, counts)
+	if err := os.WriteFile(filepath.Join(stateDir, "jobs", "j000000.json"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, srv, c := storeDaemon(t, service.Config{Workers: 1, CheckpointEveryRuns: 64, StateDir: stateDir})
+	defer func() { srv.Close(); svc.Close() }()
+	final, err := c.Wait(ctx, "j000000", 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != service.StateDone || final.Result == nil || final.Result.Campaign == nil {
+		t.Fatalf("legacy job ended %q (%s)", final.State, final.Error)
+	}
+	want, err := camp.Execute(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := *final.Result.Campaign; got != service.NewCampaignResult(want) {
+		t.Fatalf("resumed legacy job diverged from direct execution:\n got  %+v\n want %+v", got, service.NewCampaignResult(want))
+	}
+	if final.Resumed < 1 {
+		t.Errorf("resumed = %d, want >= 1", final.Resumed)
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim, rest := m["runs_simulated_total"], int64(e2eRuns-prefix.Total); sim != rest {
+		t.Errorf("resume simulated %d runs, want the %d after the checkpoint", sim, rest)
+	}
+
+	body := `{"kind":"campaign","design":{"cipher":"present80"},"campaign":{"runs":64,"seed":"0x1","key":["0x0","0x0"],"faults":[{"sbox":13,"bit":2}],"lane_words":4}}`
+	if status, code := postJob(t, c.BaseURL, body); status != http.StatusBadRequest || code != service.CodeInvalidRequest {
+		t.Errorf("lane_words submission: status %d code %q, want 400 %s", status, code, service.CodeInvalidRequest)
 	}
 }

@@ -128,7 +128,10 @@ type PersistentSpec struct {
 	Mask  U64 `json:"mask"`
 }
 
-// CampaignSpec parameterises a campaign job.
+// CampaignSpec parameterises a campaign job. It carries exactly what the
+// campaign's content address covers; execution policy (how parallel the
+// simulation runs) is a setting of the host that runs it, never of the
+// request.
 type CampaignSpec struct {
 	Runs   int         `json:"runs"`
 	Seed   U64         `json:"seed"`
@@ -138,35 +141,6 @@ type CampaignSpec struct {
 	// campaign (the PFA model). A persistent campaign carries no transient
 	// faults.
 	Persistent *PersistentSpec `json:"persistent,omitempty"`
-	// Workers bounds the goroutines of this campaign's simulation; 0
-	// uses the service default.
-	Workers int `json:"workers,omitempty"`
-	// LaneWords selects the simulation engine's word width W (1, 2 or
-	// 4): one simulator pass evaluates W×64 lanes. 0 uses the service
-	// default. Pure execution policy — results, content addresses and
-	// cached batches are identical at every width.
-	LaneWords int `json:"lane_words,omitempty"`
-	// BatchRuns is the per-dispatch shard size in runs, rounded up to
-	// whole lane groups; 0 uses one lane group. Execution policy only,
-	// like LaneWords.
-	BatchRuns int `json:"batch_runs,omitempty"`
-}
-
-// engineConfig folds the spec's execution-policy fields and the service
-// default into the engine's configuration type.
-func (c *CampaignSpec) engineConfig(def EngineDefaults) fault.EngineConfig {
-	cfg := fault.EngineConfig{
-		LaneWords:   c.LaneWords,
-		Parallelism: c.Workers,
-		BatchRuns:   c.BatchRuns,
-	}
-	if cfg.LaneWords == 0 {
-		cfg.LaneWords = def.LaneWords
-	}
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = def.Workers
-	}
-	return cfg
 }
 
 // MultiFaultSpec parameterises a multifault job: a planned sweep over many
@@ -200,8 +174,6 @@ type MultiFaultSpec struct {
 	Prune bool `json:"prune,omitempty"`
 	// MaxTuples truncates the plan; 0 means no cap.
 	MaxTuples int `json:"max_tuples,omitempty"`
-	// Workers bounds each placement campaign's goroutines.
-	Workers int `json:"workers,omitempty"`
 }
 
 // LeakageSpec parameterises a leakage job: a fixed-vs-random TVLA
@@ -291,12 +263,6 @@ func (r *JobRequest) Validate() error {
 		}
 		if c.Runs <= 0 {
 			return fmt.Errorf("campaign needs a positive run count (got %d)", c.Runs)
-		}
-		if c.Workers < 0 {
-			return fmt.Errorf("campaign needs a non-negative worker count (got %d)", c.Workers)
-		}
-		if err := (fault.EngineConfig{LaneWords: c.LaneWords, BatchRuns: c.BatchRuns}).Validate(); err != nil {
-			return err
 		}
 		if c.Persistent != nil {
 			if len(c.Faults) > 0 {

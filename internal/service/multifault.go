@@ -113,7 +113,6 @@ func planMultiFault(d *core.Design, m *MultiFaultSpec, exec placementExec) (*Mul
 					Seed:       m.Seed,
 					Key:        m.Key,
 					Persistent: &PersistentSpec{Entry: c.Entry, Mask: U64(c.Mask)},
-					Workers:    m.Workers,
 				},
 			}
 		}
@@ -162,7 +161,7 @@ func planMultiFault(d *core.Design, m *MultiFaultSpec, exec placementExec) (*Mul
 			placements[i] = pl
 			continue
 		}
-		cs := &CampaignSpec{Runs: m.RunsPerTuple, Seed: m.Seed, Key: m.Key, Workers: m.Workers}
+		cs := &CampaignSpec{Runs: m.RunsPerTuple, Seed: m.Seed, Key: m.Key}
 		for _, si := range tup {
 			cs.Faults = append(cs.Faults, siteFault(p.Sites[si], m))
 		}
@@ -196,11 +195,10 @@ func inertSites(sites []plan.Site, m *MultiFaultSpec, exec placementExec) (map[i
 	inert := make(map[int]bool)
 	for i, site := range sites {
 		cs := &CampaignSpec{
-			Runs:    m.RunsPerTuple,
-			Seed:    m.Seed,
-			Key:     m.Key,
-			Faults:  []FaultSpec{siteFault(site, m)},
-			Workers: m.Workers,
+			Runs:   m.RunsPerTuple,
+			Seed:   m.Seed,
+			Key:    m.Key,
+			Faults: []FaultSpec{siteFault(site, m)},
 		}
 		counts, err := exec(fmt.Sprintf("s%d", i), cs)
 		if err != nil {

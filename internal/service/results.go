@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -215,11 +216,29 @@ func ResultsQueryValues(req JobRequest) (url.Values, error) {
 	return v, nil
 }
 
+// resultsQueryKeys is the GET /v1/results query vocabulary.
+var resultsQueryKeys = map[string]bool{
+	"cipher": true, "scheme": true, "entropy": true, "engine": true, "separate_sbox": true,
+	"runs": true, "seed": true, "key": true, "sbox": true, "bit": true, "model": true, "branch": true, "cycle": true,
+}
+
 // ParseResultsQuery decodes the GET /v1/results query string into a
 // campaign request, mirroring the sconectl submit flag vocabulary: cipher,
 // scheme, entropy, engine, separate_sbox, runs, seed, key, sbox, bit,
-// model, branch, cycle. Absent parameters take the submit defaults.
+// model, branch, cycle. Absent parameters take the submit defaults; any
+// other parameter is refused, as POST /v1/jobs refuses unknown fields, so
+// a misspelled key can never answer for the default campaign.
 func ParseResultsQuery(v url.Values) (JobRequest, error) {
+	var unknown []string
+	for k := range v {
+		if !resultsQueryKeys[k] {
+			unknown = append(unknown, k)
+		}
+	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		return JobRequest{}, fmt.Errorf("unknown results query parameters %q", unknown)
+	}
 	req := JobRequest{
 		Kind: KindCampaign,
 		Design: DesignSpec{

@@ -174,16 +174,15 @@ func LambdaConst(vals []uint64) LambdaFunc { return core.LambdaConst(vals) }
 const BatchLanes = sim.Lanes
 
 // EngineConfig is the campaign engine's execution configuration: simulator
-// word width (LaneWords — one pass evaluates LaneWords×64 lanes), worker
-// parallelism, and dispatch granularity. It is pure execution policy: every
+// word width (LaneWords — one pass evaluates LaneWords×64 lanes) and worker
+// parallelism. It is pure execution policy: every
 // configuration computes bit-identical results and leaves content-addressed
 // stored batches valid. Set it on Campaign.Engine (or through
 // BoundCampaign.WithEngine).
 type EngineConfig = fault.EngineConfig
 
 // DefaultEngineConfig returns the explicit form of the zero-value engine
-// configuration: width 1, GOMAXPROCS parallelism, one lane group per
-// dispatch.
+// configuration: width 1, GOMAXPROCS parallelism.
 func DefaultEngineConfig() EngineConfig { return fault.DefaultEngineConfig() }
 
 // ---------------------------------------------------------------------------
