@@ -49,7 +49,7 @@ vet:
 	$(GO) vet ./...
 
 # Custom vet passes (internal/vetkit): norand, cachedcompile, ctxexecute,
-# obsnames.
+# enginecfg, obsnames, provebudget.
 lint: vet
 	$(GO) run ./cmd/sconevet .
 
@@ -67,11 +67,12 @@ e2e:
 	$(GO) test -race -count=1 ./internal/service/... ./cmd/sconed/... ./cmd/sconectl/...
 
 # Distributed campaign fabric under the race detector: coordinator lease
-# table, worker kill + lease reassignment with bit-identical merged results,
-# the /v1 worker protocol round trip, and sconed's worker mode.
+# table, the per-batch completion check (seed corpus), worker kill + lease
+# reassignment with bit-identical merged results, the /v1 worker protocol
+# round trip, and sconed's worker mode.
 e2e-dist:
 	$(GO) test -race -count=1 \
-		-run 'TestCoordinator|TestE2EDistributed|TestDistEndpoints|TestSubmitRetr|TestDaemonWorker|TestWorkersLeasesAndTopFleet' \
+		-run 'TestCoordinator|FuzzCheckCompletion|TestE2EDistributed|TestDistEndpoints|TestSubmitRetr|TestDaemonWorker|TestWorkersLeasesAndTopFleet' \
 		./internal/service/... ./cmd/sconed/... ./cmd/sconectl/...
 
 # Content-addressed result store under the race detector: resubmitting an
@@ -102,7 +103,7 @@ e2e-prove:
 # an uninterrupted run.
 e2e-multifault:
 	$(GO) test -race -count=1 \
-		-run 'TestE2EMultiFault|TestMultiFault' \
+		-run 'TestE2EMultiFault|TestSites|TestCombinations|TestNumTuples|TestNewFiltersAndPlans|TestConeRestriction|TestPruneIndex|TestPersistentPlan|TestPlanMetrics|FuzzCombinationsPruned' \
 		./internal/service/... ./internal/plan/...
 
 # Leakage evaluation under the race detector: the TVLA evaluator's
@@ -129,6 +130,6 @@ sconelint:
 
 # Replay the checked-in fuzz seed corpora (no open-ended fuzzing).
 fuzz:
-	$(GO) test -run=Fuzz ./internal/netlist ./internal/lint ./internal/store ./internal/prove ./internal/plan
+	$(GO) test -run=Fuzz ./internal/netlist ./internal/lint ./internal/store ./internal/prove ./internal/plan ./internal/service
 
 ci: fmt-check build lint test race bench-smoke bench-test fuzz sconelint

@@ -20,8 +20,7 @@
 //	sconectl [-server URL] list
 //	sconectl [-server URL] cancel j000000
 //	sconectl [-server URL] watch j000000
-//	sconectl [-server URL] results -cipher present80 -scheme three-in-one \
-//	         -entropy prime -runs 80000 -seed 0x5C09E2021 [-sbox 13 -bit 2]
+//	sconectl [-server URL] results [submit flags: -runs 80000 -sbox 13 -bit 2 ...]
 //	sconectl [-server URL] runs [job-id]
 //	sconectl [-server URL] metrics
 //	sconectl [-server URL] workers
@@ -250,43 +249,17 @@ func topScreen(ctx context.Context, c *client.Client, stdout io.Writer) error {
 	return nil
 }
 
-// cmdResults queries the daemon's result store by content address — the
-// same flag vocabulary as submit, but not a single run is simulated
-// server-side. The response reports how much of the campaign is cached and,
-// when every batch is, the complete result.
+// cmdResults asks the daemon's result store about the campaign submit's
+// flags describe: POST /v1/results takes the POST /v1/jobs body, and not a
+// single run is simulated server-side. The response reports how much of
+// the campaign is cached and, when every batch is, the complete result.
 func cmdResults(ctx context.Context, c *client.Client, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sconectl results", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	design := cliflags.RegisterDesign(fs)
-	runs := fs.Int("runs", 80000, "campaign: simulated encryptions")
-	seed := fs.String("seed", "0x5C09E2021", "campaign seed")
-	key := fs.String("key", "0x0123456789ABCDEF,0x8421", "cipher key as two comma-separated 64-bit words")
-	sbox := fs.Int("sbox", 13, "faulted S-box index")
-	bit := fs.Int("bit", 2, "faulted S-box input bit")
-	model := fs.String("model", "stuck-at-0", "fault model: stuck-at-0, stuck-at-1, bit-flip")
-	branch := fs.String("branch", "actual", "faulted branch: actual, redundant")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	seedV, err := service.ParseU64(*seed)
+	parse := requestFlags(fs)
+	req, err := parse(args)
 	if err != nil {
 		return err
-	}
-	keyV, err := parseKey(*key)
-	if err != nil {
-		return err
-	}
-	req := service.JobRequest{
-		Kind:   service.KindCampaign,
-		Design: design.DesignSpec(),
-		Campaign: &service.CampaignSpec{
-			Runs: *runs,
-			Seed: seedV,
-			Key:  keyV,
-			Faults: []service.FaultSpec{{
-				Branch: *branch, Sbox: *sbox, Bit: *bit, Model: *model,
-			}},
-		},
 	}
 	view, err := c.Results(ctx, req)
 	if err != nil {
@@ -304,6 +277,29 @@ func cmdResults(ctx context.Context, c *client.Client, args []string, stdout, st
 func cmdSubmit(ctx context.Context, c *client.Client, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sconectl submit", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	parse := requestFlags(fs)
+	stream := fs.Bool("stream", false, "follow the job's NDJSON progress stream until it finishes")
+	req, err := parse(args)
+	if err != nil {
+		return err
+	}
+	st, err := c.Submit(ctx, req)
+	if err != nil {
+		return err
+	}
+	if err := service.WriteJSON(stdout, st); err != nil {
+		return err
+	}
+	if *stream {
+		return streamJob(ctx, c, st.ID, stdout)
+	}
+	return nil
+}
+
+// requestFlags registers the job-request flag vocabulary on fs and returns
+// the parser that reads args into it and builds the JobRequest they name.
+// Flags registered on fs after this call are parsed along with them.
+func requestFlags(fs *flag.FlagSet) func(args []string) (service.JobRequest, error) {
 	kind := fs.String("kind", "campaign", "job kind: campaign, multifault, dfa, sifa, fta, area, lint, prove, leakage")
 	design := cliflags.RegisterDesign(fs)
 	netlistPath := fs.String("netlist", "", "netlist file to upload (area/lint/prove jobs)")
@@ -325,103 +321,92 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string, stdout, std
 	withFault := fs.Bool("fault", false, "leakage: inject the -branch/-sbox/-bit/-model fault and keep only SIFA-usable traces")
 	models := fs.String("models", "", "prove: comma-separated fault models to prove (default: stuck-at-0,stuck-at-1,bit-flip)")
 	budget := fs.Int("budget", 0, "prove: BDD node budget (0 = prover default)")
-	stream := fs.Bool("stream", false, "follow the job's NDJSON progress stream until it finishes")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
 
-	seedV, err := service.ParseU64(*seed)
-	if err != nil {
-		return err
-	}
-	keyV, err := parseKey(*key)
-	if err != nil {
-		return err
-	}
-
-	req := service.JobRequest{
-		Kind:   service.Kind(*kind),
-		Design: design.DesignSpec(),
-	}
-	if *netlistPath != "" {
-		b, err := os.ReadFile(*netlistPath)
+	return func(args []string) (service.JobRequest, error) {
+		if err := fs.Parse(args); err != nil {
+			return service.JobRequest{}, err
+		}
+		if fs.NArg() != 0 {
+			return service.JobRequest{}, fmt.Errorf("unexpected arguments: %v", fs.Args())
+		}
+		seedV, err := service.ParseU64(*seed)
 		if err != nil {
-			return err
+			return service.JobRequest{}, err
 		}
-		req.Design = service.DesignSpec{Netlist: string(b)}
-	}
-	switch req.Kind {
-	case service.KindCampaign:
-		req.Campaign = &service.CampaignSpec{
-			Runs: *runs,
-			Seed: seedV,
-			Key:  keyV,
-			Faults: []service.FaultSpec{{
-				Branch: *branch, Sbox: *sbox, Bit: *bit, Model: *model,
-			}},
-		}
-	case service.KindMultiFault:
-		idx, err := parseInts(*sboxes)
+		keyV, err := parseKey(*key)
 		if err != nil {
-			return err
+			return service.JobRequest{}, err
 		}
-		req.MultiFault = &service.MultiFaultSpec{
-			Mode:         *mode,
-			K:            *arity,
-			Model:        *model,
-			RunsPerTuple: *runs,
-			Seed:         seedV,
-			Key:          keyV,
-			Sboxes:       idx,
-			Prune:        *prune,
-			MaxTuples:    *maxTuples,
+		req := service.JobRequest{
+			Kind:   service.Kind(*kind),
+			Design: design.DesignSpec(),
 		}
-	case service.KindDFA, service.KindSIFA, service.KindFTA:
-		req.Attack = &service.AttackSpec{Key: keyV, Seed: seedV, Sbox: sbox, Bit: bit, Model: ""}
-	case service.KindLeakage:
-		ptV, err := service.ParseU64(*fixedPT)
-		if err != nil {
-			return err
-		}
-		req.Leakage = &service.LeakageSpec{
-			Pairs:   *pairs,
-			Seed:    seedV,
-			Key:     keyV,
-			Model:   *powerModel,
-			FixedPT: ptV,
-		}
-		if *withFault {
-			req.Leakage.Faults = []service.FaultSpec{{
-				Branch: *branch, Sbox: *sbox, Bit: *bit, Model: *model,
-			}}
-		}
-	case service.KindProve:
-		req.Prove = &service.ProveSpec{Budget: *budget}
-		if *models != "" {
-			for _, m := range strings.Split(*models, ",") {
-				req.Prove.Models = append(req.Prove.Models, strings.TrimSpace(m))
+		if *netlistPath != "" {
+			b, err := os.ReadFile(*netlistPath)
+			if err != nil {
+				return req, err
 			}
+			req.Design = service.DesignSpec{Netlist: string(b)}
 		}
-	case service.KindArea, service.KindLint:
-		// Design-only kinds.
-	default:
-		return fmt.Errorf("unknown job kind %q", *kind)
+		switch req.Kind {
+		case service.KindCampaign:
+			req.Campaign = &service.CampaignSpec{
+				Runs: *runs,
+				Seed: seedV,
+				Key:  keyV,
+				Faults: []service.FaultSpec{{
+					Branch: *branch, Sbox: *sbox, Bit: *bit, Model: *model,
+				}},
+			}
+		case service.KindMultiFault:
+			idx, err := parseInts(*sboxes)
+			if err != nil {
+				return req, err
+			}
+			req.MultiFault = &service.MultiFaultSpec{
+				Mode:         *mode,
+				K:            *arity,
+				Model:        *model,
+				RunsPerTuple: *runs,
+				Seed:         seedV,
+				Key:          keyV,
+				Sboxes:       idx,
+				Prune:        *prune,
+				MaxTuples:    *maxTuples,
+			}
+		case service.KindDFA, service.KindSIFA, service.KindFTA:
+			req.Attack = &service.AttackSpec{Key: keyV, Seed: seedV, Sbox: sbox, Bit: bit, Model: ""}
+		case service.KindLeakage:
+			ptV, err := service.ParseU64(*fixedPT)
+			if err != nil {
+				return req, err
+			}
+			req.Leakage = &service.LeakageSpec{
+				Pairs:   *pairs,
+				Seed:    seedV,
+				Key:     keyV,
+				Model:   *powerModel,
+				FixedPT: ptV,
+			}
+			if *withFault {
+				req.Leakage.Faults = []service.FaultSpec{{
+					Branch: *branch, Sbox: *sbox, Bit: *bit, Model: *model,
+				}}
+			}
+		case service.KindProve:
+			req.Prove = &service.ProveSpec{Budget: *budget}
+			if *models != "" {
+				for _, m := range strings.Split(*models, ",") {
+					req.Prove.Models = append(req.Prove.Models, strings.TrimSpace(m))
+				}
+			}
+		case service.KindArea, service.KindLint:
+			// Design-only kinds.
+		default:
+			return req, fmt.Errorf("unknown job kind %q", *kind)
+		}
+		return req, nil
 	}
-
-	st, err := c.Submit(ctx, req)
-	if err != nil {
-		return err
-	}
-	if err := service.WriteJSON(stdout, st); err != nil {
-		return err
-	}
-	if *stream {
-		return streamJob(ctx, c, st.ID, stdout)
-	}
-	return nil
 }
 
 // cmdPlan sizes a multi-fault sweep locally, without a daemon: it

@@ -7,8 +7,7 @@
 //	sconed [-addr :8344] [-state DIR] [-workers N] [-queue N]
 //	       [-checkpoint-runs N] [-sim-workers N] [-pprof]
 //	       [-dist] [-lease-batches N] [-lease-ttl D] [-lease-attempts N]
-//	sconed -worker -join URL [-name NAME] [-capacity N] [-chunk-batches N]
-//	       [-sim-workers N]
+//	sconed -worker -join URL [-name NAME] [-sim-workers N]
 //
 // With -dist the daemon is a distributed-fabric coordinator: campaign jobs
 // are split into batch-range leases that worker processes pull, execute and
@@ -48,6 +47,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/prove"
 	"repro/internal/service"
+	"repro/internal/service/client"
 	"repro/internal/sim"
 )
 
@@ -84,8 +84,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	workerMode := fs.Bool("worker", false, "worker mode: pull and execute leases from a coordinator instead of serving HTTP")
 	join := fs.String("join", "", "coordinator base URL to join in worker mode (e.g. http://127.0.0.1:8344)")
 	name := fs.String("name", "", "worker name shown in /v1/workers listings")
-	capacity := fs.Int("capacity", 1, "concurrent leases advertised by the worker")
-	chunkBatches := fs.Int("chunk-batches", 4, "batches per progress report inside one lease")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -96,13 +94,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if *join == "" {
 			return fmt.Errorf("-worker needs -join <coordinator-url>")
 		}
-		return runWorker(ctx, workerOptions{
-			join:         *join,
-			name:         *name,
-			capacity:     *capacity,
-			chunkBatches: *chunkBatches,
-			simWorkers:   *simWorkers,
-		}, stdout)
+		return runWorker(ctx, client.WorkerConfig{Coordinator: *join, Name: *name, SimWorkers: *simWorkers}, stdout)
 	}
 	if *join != "" {
 		return fmt.Errorf("-join requires -worker")

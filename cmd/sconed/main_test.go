@@ -278,7 +278,7 @@ func TestDaemonWorkerMode(t *testing.T) {
 	pr, pw := io.Pipe()
 	werrCh := make(chan error, 1)
 	go func() {
-		werrCh <- run(wctx, []string{"-worker", "-join", base, "-name", "w0", "-chunk-batches", "1"}, pw, io.Discard)
+		werrCh <- run(wctx, []string{"-worker", "-join", base, "-name", "w0"}, pw, io.Discard)
 		pw.Close()
 	}()
 	var mu sync.Mutex

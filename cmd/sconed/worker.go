@@ -15,31 +15,17 @@ import (
 	"repro/internal/service/client"
 )
 
-type workerOptions struct {
-	join         string
-	name         string
-	capacity     int
-	chunkBatches int
-	simWorkers   int
-}
-
-// runWorker joins the coordinator and executes leases until ctx is
-// cancelled (SIGTERM/SIGINT), then stops gracefully: the current lease is
-// failed back for immediate reassignment and the worker leaves the
+// runWorker joins the coordinator cfg names and executes leases until ctx
+// is cancelled (SIGTERM/SIGINT), then stops gracefully: the current lease
+// is failed back for immediate reassignment and the worker leaves the
 // registry.
-func runWorker(ctx context.Context, opts workerOptions, stdout io.Writer) error {
-	w := client.NewWorker(client.WorkerConfig{
-		Coordinator:  opts.join,
-		Name:         opts.name,
-		Capacity:     opts.capacity,
-		ChunkBatches: opts.chunkBatches,
-		SimWorkers:   opts.simWorkers,
-		OnLease: func(g service.LeaseGrant) {
-			fmt.Fprintf(stdout, "sconed: lease %s job %s batches [%d,%d)\n",
-				g.LeaseID, g.JobID, g.FirstBatch, g.LastBatch)
-		},
-	})
-	fmt.Fprintf(stdout, "sconed: worker joining %s\n", opts.join)
+func runWorker(ctx context.Context, cfg client.WorkerConfig, stdout io.Writer) error {
+	cfg.OnLease = func(g service.LeaseGrant) {
+		fmt.Fprintf(stdout, "sconed: lease %s job %s batches [%d,%d)\n",
+			g.LeaseID, g.JobID, g.FirstBatch, g.LastBatch)
+	}
+	w := client.NewWorker(cfg)
+	fmt.Fprintf(stdout, "sconed: worker joining %s\n", cfg.Coordinator)
 	if err := w.Run(ctx); err != nil && ctx.Err() == nil {
 		return err
 	}

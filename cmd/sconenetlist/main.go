@@ -4,7 +4,11 @@
 //
 // Usage:
 //
-//	sconenetlist -cipher present80 -scheme three-in-one -entropy prime [-optimize] [-format stats|text|dot]
+//	sconenetlist -cipher present80 -scheme three-in-one -entropy prime [-engine anf|bdd]
+//	             [-optimize] [-separate-sbox] [-format stats|text|dot]
+//
+// The design flags are the shared surface of every scone CLI
+// (internal/cliflags).
 package main
 
 import (
@@ -13,12 +17,9 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/cipher/gift"
-	"repro/internal/cipher/present"
+	"repro/internal/cliflags"
 	"repro/internal/core"
-	"repro/internal/spn"
 	"repro/internal/stdcell"
-	"repro/internal/synth"
 )
 
 func main() {
@@ -34,10 +35,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sconenetlist", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	cipher := fs.String("cipher", "present80", "cipher: present80 or gift64")
-	scheme := fs.String("scheme", "three-in-one", "countermeasure scheme: "+core.SchemeVocabulary())
-	entropy := fs.String("entropy", "prime", "prime, per-round, per-sbox")
-	engine := fs.String("engine", "anf", "S-box synthesis engine: anf or bdd")
+	design := cliflags.RegisterDesign(fs)
 	optimize := fs.Bool("optimize", false, "run the synthesis optimiser")
 	separate := fs.Bool("separate-sbox", false, "use the ACISP separate-S-box layout")
 	format := fs.String("format", "stats", "output: stats, text or dot")
@@ -45,41 +43,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	var spec *spn.Spec
-	switch *cipher {
-	case "present80":
-		spec = present.Spec()
-	case "gift64":
-		spec = gift.Spec()
-	default:
-		return fmt.Errorf("unknown cipher %q", *cipher)
-	}
-
-	opts := core.Options{Optimize: *optimize, SeparateSbox: *separate}
-	sch, err := core.ParseScheme(*scheme)
+	spec, opts, err := design.Parse()
 	if err != nil {
 		return err
 	}
-	opts.Scheme = sch
-	switch *entropy {
-	case "prime":
-		opts.Entropy = core.EntropyPrime
-	case "per-round":
-		opts.Entropy = core.EntropyPerRound
-	case "per-sbox":
-		opts.Entropy = core.EntropyPerSbox
-	default:
-		return fmt.Errorf("unknown entropy variant %q", *entropy)
-	}
-	switch *engine {
-	case "anf":
-		opts.Engine = synth.EngineANF
-	case "bdd":
-		opts.Engine = synth.EngineBDD
-	default:
-		return fmt.Errorf("unknown engine %q", *engine)
-	}
-
+	opts.Optimize, opts.SeparateSbox = *optimize, *separate
 	d, err := core.Build(spec, opts)
 	if err != nil {
 		return fmt.Errorf("build: %w", err)

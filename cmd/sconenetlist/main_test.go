@@ -7,12 +7,18 @@ import (
 )
 
 func TestRunStats(t *testing.T) {
-	var out, errb bytes.Buffer
-	if err := run([]string{"-scheme", "unprotected", "-format", "stats"}, &out, &errb); err != nil {
-		t.Fatalf("run: %v (stderr: %s)", err, errb.String())
-	}
-	if !strings.Contains(out.String(), "DFF") {
-		t.Fatalf("expected cell statistics in output, got:\n%s", out.String())
+	for _, args := range [][]string{
+		{"-scheme", "unprotected", "-format", "stats"},
+		// scone64 comes with the design flags every scone CLI shares.
+		{"-cipher", "scone64", "-format", "stats"},
+	} {
+		var out, errb bytes.Buffer
+		if err := run(args, &out, &errb); err != nil {
+			t.Fatalf("%v: run: %v (stderr: %s)", args, err, errb.String())
+		}
+		if !strings.Contains(out.String(), "DFF") {
+			t.Fatalf("%v: expected cell statistics in output, got:\n%s", args, out.String())
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ var facadeSymbols = []string{
 	"DistConfig", "WorkerState", "LeaseState", "WorkerInfo", "LeaseInfo",
 	"LeaseGrant", "CampaignWorker", "CampaignWorkerConfig",
 	"WorkerActive", "WorkerLost", "WorkerLeft",
-	"LeasePending", "LeaseActive", "LeaseDone",
+	"LeasePending", "LeaseActive",
 	"NewCampaignWorker",
 	// Observability layer.
 	"Registry", "Counter", "Gauge", "Histogram", "Span",

@@ -267,15 +267,11 @@ func (c *Client) Cancel(ctx context.Context, id string) (service.JobStatus, erro
 }
 
 // Results fetches the stored result for the campaign req describes by
-// content address — zero simulation server-side. Only single-fault campaign
-// requests have a query encoding; see service.ResultsQueryValues.
+// content address — zero simulation server-side. req is the campaign
+// request Submit would send.
 func (c *Client) Results(ctx context.Context, req service.JobRequest) (service.ResultsView, error) {
 	var view service.ResultsView
-	vals, err := service.ResultsQueryValues(req)
-	if err != nil {
-		return view, err
-	}
-	err = c.do(ctx, http.MethodGet, "/v1/results?"+vals.Encode(), nil, &view)
+	err := c.do(ctx, http.MethodPost, "/v1/results", req, &view)
 	return view, err
 }
 
@@ -376,12 +372,7 @@ func (c *Client) AcquireLease(ctx context.Context, workerID string) (*service.Le
 	return &g, nil
 }
 
-// LeaseProgress posts a partial tally, renewing the lease.
-func (c *Client) LeaseProgress(ctx context.Context, leaseID string, rep service.LeaseReport) error {
-	return c.do(ctx, http.MethodPost, "/v1/leases/"+leaseID+"/progress", rep, nil)
-}
-
-// CompleteLease posts a lease's final tally.
+// CompleteLease posts a lease's per-batch tallies.
 func (c *Client) CompleteLease(ctx context.Context, leaseID string, rep service.LeaseReport) error {
 	return c.do(ctx, http.MethodPost, "/v1/leases/"+leaseID+"/complete", rep, nil)
 }

@@ -263,7 +263,7 @@ func TestDistEndpointsRoundTrip(t *testing.T) {
 	ctx := context.Background()
 
 	jr, err := c.JoinWorker(ctx, service.JoinRequest{Name: "probe"})
-	if err != nil || jr.WorkerID == "" || jr.LeaseTTLMS <= 0 {
+	if err != nil || jr.WorkerID == "" || jr.HeartbeatMS <= 0 {
 		t.Fatalf("join: %+v %v", jr, err)
 	}
 

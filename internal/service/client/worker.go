@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/service"
-	"repro/internal/sim"
 )
 
 // WorkerConfig parameterises a campaign worker.
@@ -26,13 +25,6 @@ type WorkerConfig struct {
 	Coordinator string
 	// Name labels the worker in /v1/workers listings.
 	Name string
-	// Capacity advertises how many leases the worker wants concurrently.
-	// Default 1 (the execution loop itself is serial; capacity >1 only
-	// keeps ranges reserved ahead).
-	Capacity int
-	// ChunkBatches is the progress-report granularity inside one lease.
-	// Default 4.
-	ChunkBatches int
 	// SimWorkers bounds the goroutines of one lease execution; 0 lets the
 	// engine default (GOMAXPROCS). Pure execution policy: reported counts
 	// are bit-identical at every setting.
@@ -41,16 +33,6 @@ type WorkerConfig struct {
 	// acquire, before execution starts — the hook deterministic tests use
 	// to kill a worker at a known point.
 	OnLease func(service.LeaseGrant)
-}
-
-func (c WorkerConfig) withDefaults() WorkerConfig {
-	if c.Capacity <= 0 {
-		c.Capacity = 1
-	}
-	if c.ChunkBatches <= 0 {
-		c.ChunkBatches = 4
-	}
-	return c
 }
 
 // Worker runs the lease-pull loop against one coordinator.
@@ -71,7 +53,7 @@ type Worker struct {
 // NewWorker returns an unstarted worker; Run drives it.
 func NewWorker(cfg WorkerConfig) *Worker {
 	return &Worker{
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
 		client: New(cfg.Coordinator),
 		leases: make(map[string]int),
 		abort:  make(map[string]context.CancelFunc),
@@ -166,7 +148,7 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // join registers with the coordinator, retrying until ctx dies.
 func (w *Worker) join(ctx context.Context) (service.JoinResponse, error) {
-	req := service.JoinRequest{Name: w.cfg.Name, Capacity: w.cfg.Capacity}
+	req := service.JoinRequest{Name: w.cfg.Name}
 	for {
 		resp, err := w.client.JoinWorker(ctx, req)
 		if err == nil {
@@ -246,13 +228,13 @@ func (w *Worker) setDone(leaseID string, done int) {
 	w.mu.Unlock()
 }
 
-// execute runs one lease in ChunkBatches-sized sub-ranges, posting a
-// partial tally after each. Error handling mirrors the coordinator's
-// state machine: a killed worker reports nothing (the TTL expires the
-// lease), a gracefully stopped worker fails the lease back immediately,
-// and a conflict response means the lease was reassigned — the work is
-// discarded, which is safe because the replacement computes identical
-// counts.
+// execute runs one lease in a single pass over its batch range, keeping
+// each batch's tally for the completion report and counting it into the
+// next heartbeat. Error handling mirrors the coordinator's state machine: a
+// killed worker reports nothing (the TTL expires the lease), a gracefully
+// stopped worker fails the lease back immediately, and a conflict response
+// means the lease was reassigned — the work is discarded, which is safe
+// because the replacement computes identical counts.
 func (w *Worker) execute(ctx context.Context, grant service.LeaseGrant) {
 	if w.cfg.OnLease != nil {
 		w.cfg.OnLease(grant)
@@ -265,71 +247,39 @@ func (w *Worker) execute(ctx context.Context, grant service.LeaseGrant) {
 		return // killed in the OnLease hook: silent death
 	}
 
-	rep := service.LeaseReport{WorkerID: w.ID()}
+	id := w.ID()
+	fail := func(ctx context.Context, cause string) {
+		_ = w.client.FailLease(ctx, grant.LeaseID, service.LeaseReport{WorkerID: id, Error: cause})
+	}
 	camp, err := service.BuildCampaign(grant.Design, &grant.Campaign, service.EngineDefaults{Workers: w.cfg.SimWorkers})
 	if err != nil {
-		rep.Error = err.Error()
-		_ = w.client.FailLease(ctx, grant.LeaseID, rep)
+		fail(ctx, err.Error())
 		return
 	}
-
-	var acc service.CampaignResult
-	var batchTallies []service.CampaignResult // per-batch, in batch order
-	for b := grant.FirstBatch; b < grant.LastBatch; {
-		end := b + w.cfg.ChunkBatches
-		if end > grant.LastBatch {
-			end = grant.LastBatch
+	rep := service.LeaseReport{WorkerID: id}
+	_, err = camp.ExecuteBatchesFunc(leaseCtx, grant.FirstBatch, grant.LastBatch, nil, func(_ int, r fault.Result) {
+		rep.Batches = append(rep.Batches, service.NewCampaignResult(r))
+		w.setDone(grant.LeaseID, len(rep.Batches))
+	})
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		if w.abrupt.Load() {
+			return // crashed: say nothing, let the TTL reassign
 		}
-		res, execErr := camp.ExecuteBatchesFunc(leaseCtx, b, end, nil, func(_ int, r fault.Result) {
-			batchTallies = append(batchTallies, service.NewCampaignResult(r))
-		})
-		acc.Add(res)
-		// Completed batches are always full sim.Lanes wide except the
-		// campaign's final batch, which only completes error-free.
-		completed := b + res.Total/sim.Lanes
-		if execErr == nil {
-			completed = end
-		}
-		rep.DoneBatches = completed - grant.FirstBatch
-		rep.Counts = acc
-		w.setDone(grant.LeaseID, rep.DoneBatches)
-
-		if execErr != nil {
-			if errors.Is(execErr, context.Canceled) || errors.Is(execErr, context.DeadlineExceeded) {
-				if w.abrupt.Load() {
-					return // crashed: say nothing, let the TTL reassign
-				}
-				// Graceful stop or coordinator-ordered drop: hand the
-				// range back for immediate retry elsewhere.
-				failCtx, failCancel := context.WithTimeout(context.Background(), 2*time.Second)
-				defer failCancel()
-				rep.Error = "worker shutting down"
-				_ = w.client.FailLease(failCtx, grant.LeaseID, rep)
-				return
-			}
-			rep.Error = execErr.Error()
-			_ = w.client.FailLease(ctx, grant.LeaseID, rep)
-			return
-		}
-		if end < grant.LastBatch {
-			if err := w.client.LeaseProgress(leaseCtx, grant.LeaseID, rep); err != nil &&
-				(errors.Is(err, ErrConflict) || errors.Is(err, ErrNotFound)) {
-				return // reassigned or job gone: discard
-			}
-		}
-		b = end
-	}
-	// The per-batch tallies ride only on the completion report: they are
-	// what lets the coordinator store each batch by content address, and a
-	// lease is only cacheable once its whole range completed.
-	if len(batchTallies) == grant.LastBatch-grant.FirstBatch {
-		rep.Batches = batchTallies
+		// Graceful stop or coordinator-ordered drop: hand the range back
+		// for immediate retry elsewhere.
+		failCtx, failCancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer failCancel()
+		fail(failCtx, "worker shutting down")
+		return
+	case err != nil:
+		fail(ctx, err.Error())
+		return
 	}
 	if err := w.client.CompleteLease(leaseCtx, grant.LeaseID, rep); err != nil &&
 		!errors.Is(err, ErrConflict) && !errors.Is(err, ErrNotFound) && !w.abrupt.Load() && ctx.Err() == nil {
-		// Transient completion failure: fail the lease back so the range
-		// is retried rather than left to time out.
-		rep.Error = "complete failed: " + err.Error()
-		_ = w.client.FailLease(ctx, grant.LeaseID, rep)
+		// Transient or rejected completion: fail the lease back so the
+		// range is retried rather than left to time out.
+		fail(ctx, "complete failed: "+err.Error())
 	}
 }

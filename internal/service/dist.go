@@ -10,8 +10,8 @@ package service
 // coordinator only has to merge completed ranges in batch order to produce
 // a result bit-identical to a single-node run.
 //
-// Failure handling is lease-shaped: a lease is granted with a TTL and must
-// be renewed by worker heartbeats; an expired lease (worker died), a
+// Failure handling is lease-shaped: a lease is granted with a TTL that only
+// worker heartbeats renew; an expired lease (worker died), a
 // failed lease (worker errored) and a released lease (worker drained) all
 // return to the pending set — the first two with jittered backoff and an
 // attempt count that eventually fails the job, the last immediately and
@@ -49,9 +49,6 @@ type DistConfig struct {
 	// MaxAttempts bounds grant attempts per batch range before the whole
 	// job fails. Default 8.
 	MaxAttempts int
-	// HeartbeatEvery is the renewal interval advertised to workers.
-	// Default LeaseTTL/3.
-	HeartbeatEvery time.Duration
 	// PollEvery is the idle lease-poll interval advertised to workers.
 	// Default 500ms.
 	PollEvery time.Duration
@@ -66,9 +63,6 @@ func (c DistConfig) withDefaults() DistConfig {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 8
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = c.LeaseTTL / 3
 	}
 	if c.PollEvery <= 0 {
 		c.PollEvery = 500 * time.Millisecond
@@ -104,20 +98,19 @@ const (
 // LeaseState is a lease's lifecycle position.
 type LeaseState string
 
-// Lease states. Done leases are merged and dropped, so listings only ever
-// show pending and active ones.
+// Lease states. A completed lease is merged and dropped, so listings only
+// ever show pending and active ones.
 const (
 	LeasePending LeaseState = "pending"
 	LeaseActive  LeaseState = "active"
-	LeaseDone    LeaseState = "done"
 )
 
 // WorkerInfo is the wire view of a registered worker (GET /v1/workers).
+// Active counts the leases it holds in the lease table.
 type WorkerInfo struct {
 	ID        string      `json:"id"`
 	Name      string      `json:"name,omitempty"`
 	State     WorkerState `json:"state"`
-	Capacity  int         `json:"capacity"`
 	Active    int         `json:"active_leases"`
 	Completed int         `json:"completed_leases"`
 	Joined    time.Time   `json:"joined"`
@@ -141,21 +134,18 @@ type LeaseInfo struct {
 // JoinRequest registers a worker (POST /v1/workers/join).
 type JoinRequest struct {
 	Name string `json:"name,omitempty"`
-	// Capacity is how many leases the worker wants concurrently.
-	// Default 1.
-	Capacity int `json:"capacity,omitempty"`
 }
 
-// JoinResponse hands the worker its identity and the coordinator's pacing.
+// JoinResponse hands the worker its identity and the coordinator's pacing:
+// a heartbeat every LeaseTTL/3 and an idle poll every PollEvery.
 type JoinResponse struct {
 	WorkerID    string `json:"worker_id"`
-	LeaseTTLMS  int64  `json:"lease_ttl_ms"`
 	HeartbeatMS int64  `json:"heartbeat_ms"`
 	PollMS      int64  `json:"poll_ms"`
 }
 
-// HeartbeatRequest renews a worker's leases; Leases carries per-lease
-// completed-batch counts (the streamed partial-tally view).
+// HeartbeatRequest renews a worker's leases; Leases carries each lease's
+// completed-batch count, which the lease listing shows.
 type HeartbeatRequest struct {
 	Leases map[string]int `json:"leases,omitempty"`
 }
@@ -182,21 +172,18 @@ type LeaseGrant struct {
 	Campaign   CampaignSpec `json:"campaign"`
 	FirstBatch int          `json:"first_batch"`
 	LastBatch  int          `json:"last_batch"`
-	TTLMS      int64        `json:"ttl_ms"`
 }
 
-// LeaseReport carries a worker's partial or final tally for one lease
-// (POST /v1/leases/{id}/progress, /complete, /fail).
+// LeaseReport is a worker's report on one lease (POST
+// /v1/leases/{id}/complete, /fail).
 type LeaseReport struct {
-	WorkerID    string         `json:"worker_id"`
-	DoneBatches int            `json:"done_batches"`
-	Counts      CampaignResult `json:"counts"`
-	// Batches carries the per-batch tallies of the lease's range, in batch
-	// order, on completion reports. The coordinator persists them in its
-	// result store under their content addresses; older workers that omit
-	// them merely forgo caching.
+	WorkerID string `json:"worker_id"`
+	// Batches carries a completion's tallies: exactly one per batch of the
+	// lease's range, in batch order. The coordinator checks each, stores
+	// each under its content address and merges their sum.
 	Batches []CampaignResult `json:"batches,omitempty"`
-	Error   string           `json:"error,omitempty"`
+	// Error says why a failed lease failed.
+	Error string `json:"error,omitempty"`
 }
 
 // lease is one batch range of one distributed job.
@@ -211,7 +198,7 @@ type lease struct {
 
 	expires   time.Time // active: reassignment deadline
 	notBefore time.Time // pending: backoff gate after a failure
-	done      int       // worker-reported completed batches
+	done      int       // completed batches, as the worker's heartbeats report
 }
 
 // workerEntry is one registered worker.
@@ -219,8 +206,6 @@ type workerEntry struct {
 	id        string
 	name      string
 	state     WorkerState
-	capacity  int
-	active    int // leases currently held
 	completed int
 	joined    time.Time
 	lastSeen  time.Time
@@ -387,11 +372,6 @@ func (c *coordinator) dropJobLeasesLocked(jobID string) {
 			kept = append(kept, l)
 			continue
 		}
-		if l.state == LeaseActive {
-			if w := c.workers[l.worker]; w != nil {
-				w.active--
-			}
-		}
 		delete(c.leases, l.id)
 	}
 	c.order = kept
@@ -444,20 +424,15 @@ func (c *coordinator) join(req JoinRequest) JoinResponse {
 		id:       fmt.Sprintf("w%06d", c.nextWorker),
 		name:     req.Name,
 		state:    WorkerActive,
-		capacity: req.Capacity,
 		joined:   now,
 		lastSeen: now,
-	}
-	if w.capacity <= 0 {
-		w.capacity = 1
 	}
 	c.nextWorker++
 	c.workers[w.id] = w
 	c.metrics.WorkersJoined.Inc()
 	return JoinResponse{
 		WorkerID:    w.id,
-		LeaseTTLMS:  c.cfg.LeaseTTL.Milliseconds(),
-		HeartbeatMS: c.cfg.HeartbeatEvery.Milliseconds(),
+		HeartbeatMS: (c.cfg.LeaseTTL / 3).Milliseconds(),
 		PollMS:      c.cfg.PollEvery.Milliseconds(),
 	}
 }
@@ -517,7 +492,6 @@ func (c *coordinator) leave(id string) error {
 			c.releaseLocked(l, now, false)
 		}
 	}
-	w.active = 0
 	return nil
 }
 
@@ -534,9 +508,6 @@ func (c *coordinator) acquire(workerID string) (*LeaseGrant, error) {
 	if err != nil {
 		return nil, err
 	}
-	if w.active >= w.capacity {
-		return nil, nil
-	}
 	now := time.Now()
 	for _, l := range c.order {
 		if l.state != LeasePending || now.Before(l.notBefore) {
@@ -551,7 +522,6 @@ func (c *coordinator) acquire(workerID string) (*LeaseGrant, error) {
 		l.attempt++
 		l.expires = now.Add(c.cfg.LeaseTTL)
 		l.done = 0
-		w.active++
 		c.metrics.LeasesGranted.Inc()
 		if l.attempt > 1 {
 			c.metrics.LeasesReassigned.Inc()
@@ -563,7 +533,6 @@ func (c *coordinator) acquire(workerID string) (*LeaseGrant, error) {
 			Campaign:   *dj.t.req.Campaign,
 			FirstBatch: l.first,
 			LastBatch:  l.last,
-			TTLMS:      c.cfg.LeaseTTL.Milliseconds(),
 		}, nil
 	}
 	return nil, nil
@@ -582,29 +551,11 @@ func (c *coordinator) ownedLocked(leaseID, workerID string) (*lease, error) {
 	return l, nil
 }
 
-// progress records a partial tally and renews the lease — a worker that is
-// visibly computing does not need a separate heartbeat to stay alive.
-func (c *coordinator) progress(leaseID string, rep LeaseReport) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := c.touchLocked(rep.WorkerID); err != nil {
-		return err
-	}
-	l, err := c.ownedLocked(leaseID, rep.WorkerID)
-	if err != nil {
-		return err
-	}
-	if rep.DoneBatches > l.done {
-		l.done = rep.DoneBatches
-	}
-	l.expires = time.Now().Add(c.cfg.LeaseTTL)
-	return nil
-}
-
-// complete finalises a lease: its counts enter the job's merge table and
-// the contiguous prefix is folded forward in batch order. A report that
-// cannot be the range's tally is rejected before anything changes; the
-// worker then fails the lease back for a charged retry.
+// complete finalises a lease: the sum of its per-batch tallies enters the
+// job's merge table and the contiguous prefix is folded forward in batch
+// order. A report that cannot be the range's tally is rejected before
+// anything changes; the worker then fails the lease back for a charged
+// retry.
 func (c *coordinator) complete(leaseID string, rep LeaseReport) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -620,69 +571,50 @@ func (c *coordinator) complete(leaseID string, rep LeaseReport) error {
 	if dj == nil {
 		return ErrUnknownLease
 	}
-	if err := checkCompletion(dj.t.camp, l.first, l.last, rep); err != nil {
+	counts, err := checkCompletion(dj.t.camp, l.first, l.last, rep.Batches)
+	if err != nil {
 		return fmt.Errorf("lease %s: %w", l.id, err)
 	}
-	l.state = LeaseDone
-	w.active--
 	w.completed++
 	c.metrics.LeasesCompleted.Inc()
 	delete(c.leases, l.id)
-	for i, o := range c.order {
-		if o == l {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
+	c.order = slices.DeleteFunc(c.order, func(o *lease) bool { return o == l })
 	// Persist the worker's per-batch tallies under their content addresses
 	// before merging. checkCompletion has matched them to the range;
 	// PutBatch itself rejects tallies that contradict an existing record.
-	if dj.t.useStore && len(rep.Batches) > 0 {
+	if dj.t.useStore {
 		for i, cb := range rep.Batches {
 			bi := l.first + i
 			k := store.BatchKey{Campaign: dj.t.digest, Batch: bi, Runs: dj.t.camp.BatchRuns(bi)}
 			_ = c.results.PutBatch(k, storeCounts(cb))
 		}
 	}
-	dj.completed[l.first] = completedRange{last: l.last, counts: rep.Counts}
+	dj.completed[l.first] = completedRange{last: l.last, counts: counts}
 	if dj.foldLocked() {
 		dj.wake()
 	}
 	return nil
 }
 
-// checkCompletion rejects a completion report that cannot be the tally of
-// camp's batch range [first, last): a total other than the range's run
-// count, outcome counts that do not partition it, or per-batch tallies that
-// are not one exact tally per batch summing to the report's counts. A
-// range's tally is a pure function of the campaign, so an honest worker
-// never fails these checks, and a report that does would change a result
-// the determinism contract says is bit-identical.
-func checkCompletion(camp *fault.Campaign, first, last int, rep LeaseReport) error {
-	runs := 0
-	for b := first; b < last; b++ {
-		runs += camp.BatchRuns(b)
-	}
-	if err := checkTally(rep.Counts, runs); err != nil {
-		return fmt.Errorf("report counts: %w", err)
-	}
-	if len(rep.Batches) == 0 {
-		return nil
-	}
-	if len(rep.Batches) != last-first {
-		return fmt.Errorf("report carries %d batch tallies for %d batches", len(rep.Batches), last-first)
+// checkCompletion returns the tally of camp's batch range [first, last)
+// that a completion's per-batch tallies sum to, or an error when they
+// cannot be that range's tallies: anything but one tally per batch, each
+// of exactly that batch's runs with non-negative outcome counts that
+// partition them. A batch's tally is a pure function of the campaign, so an
+// honest worker never fails these checks, and a report that does would
+// change a result the determinism contract says is bit-identical.
+func checkCompletion(camp *fault.Campaign, first, last int, batches []CampaignResult) (CampaignResult, error) {
+	if len(batches) != last-first {
+		return CampaignResult{}, fmt.Errorf("report carries %d batch tallies for %d batches", len(batches), last-first)
 	}
 	var sum CampaignResult
-	for i, bt := range rep.Batches {
+	for i, bt := range batches {
 		if err := checkTally(bt, camp.BatchRuns(first+i)); err != nil {
-			return fmt.Errorf("report batch %d: %w", first+i, err)
+			return CampaignResult{}, fmt.Errorf("report batch %d: %w", first+i, err)
 		}
 		sum.Accumulate(bt)
 	}
-	if sum != rep.Counts {
-		return fmt.Errorf("report batch tallies sum to %+v, not its counts %+v", sum, rep.Counts)
-	}
-	return nil
+	return sum, nil
 }
 
 // checkTally requires a tally of exactly runs runs whose outcome counts are
@@ -711,9 +643,6 @@ func (c *coordinator) fail(leaseID string, rep LeaseReport) error {
 	if err != nil {
 		return err
 	}
-	if w := c.workers[l.worker]; w != nil {
-		w.active--
-	}
 	c.requeueLocked(l, time.Now(), rep.Error)
 	return nil
 }
@@ -735,8 +664,8 @@ func (c *coordinator) releaseLocked(l *lease, now time.Time, charged bool) {
 }
 
 // requeueLocked is releaseLocked plus the attempt-budget check. The lease
-// goes back to pending either way so worker accounting stays consistent;
-// once the job is marked failed, acquire never grants its leases again.
+// goes back to pending either way; once the job is marked failed, acquire
+// never grants its leases again.
 func (c *coordinator) requeueLocked(l *lease, now time.Time, cause string) {
 	attempt := l.attempt
 	c.releaseLocked(l, now, true)
@@ -783,9 +712,6 @@ func (c *coordinator) sweep(now time.Time) {
 	for _, l := range c.order {
 		if l.state != LeaseActive || now.Before(l.expires) {
 			continue
-		}
-		if w := c.workers[l.worker]; w != nil {
-			w.active--
 		}
 		c.metrics.LeasesExpired.Inc()
 		c.requeueLocked(l, now, "lease expired (worker lost)")
@@ -855,21 +781,27 @@ func (c *coordinator) activeLeaseCount() int64 {
 	return n
 }
 
-// workersInfo lists the registry for GET /v1/workers.
+// workersInfo lists the registry for GET /v1/workers, counting each
+// worker's active leases from the lease table.
 func (c *coordinator) workersInfo() []WorkerInfo {
 	if c == nil {
 		return []WorkerInfo{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	active := make(map[string]int)
+	for _, l := range c.order {
+		if l.state == LeaseActive {
+			active[l.worker]++
+		}
+	}
 	out := make([]WorkerInfo, 0, len(c.workers))
 	for _, w := range c.workers {
 		out = append(out, WorkerInfo{
 			ID:        w.id,
 			Name:      w.name,
 			State:     w.state,
-			Capacity:  w.capacity,
-			Active:    w.active,
+			Active:    active[w.id],
 			Completed: w.completed,
 			Joined:    w.joined,
 			LastSeen:  w.lastSeen,

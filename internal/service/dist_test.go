@@ -33,6 +33,16 @@ func distTask(id string) *campaignTask {
 	return &campaignTask{id: id, req: req, camp: &fault.Campaign{Runs: req.Campaign.Runs}}
 }
 
+// tallies is a completion report's batch tallies: n batches, each tallied
+// per.
+func tallies(n int, per CampaignResult) []CampaignResult {
+	out := make([]CampaignResult, n)
+	for i := range out {
+		out[i] = per
+	}
+	return out
+}
+
 // acquirePoll retries acquire until a grant arrives or a second passes,
 // riding out jittered backoff gates.
 func acquirePoll(t *testing.T, c *coordinator, workerID string) *LeaseGrant {
@@ -67,7 +77,7 @@ func TestCoordinatorGrantOrderAndMerge(t *testing.T) {
 
 	w1 := c.join(JoinRequest{Name: "a"})
 	w2 := c.join(JoinRequest{Name: "b"})
-	if w1.LeaseTTLMS != time.Hour.Milliseconds() || w1.HeartbeatMS <= 0 || w1.PollMS <= 0 {
+	if w1.HeartbeatMS != (time.Hour/3).Milliseconds() || w1.PollMS <= 0 {
 		t.Fatalf("join pacing %+v", w1)
 	}
 
@@ -79,14 +89,14 @@ func TestCoordinatorGrantOrderAndMerge(t *testing.T) {
 	if g1.JobID != "j1" || g1.Campaign.Runs != 320 {
 		t.Fatalf("grant payload %+v", g1)
 	}
-	// Default capacity is one lease at a time.
-	if g, err := c.acquire(w1.WorkerID); err != nil || g != nil {
-		t.Fatalf("over-capacity acquire: %v %v", g, err)
+	// A worker's active leases are counted from the lease table.
+	if ws := c.workersInfo(); ws[0].Active != 1 || ws[1].Active != 1 {
+		t.Fatalf("active leases while both ranges are out: %+v", ws)
 	}
 
 	// Out-of-order completion parks until the prefix is contiguous.
 	if err := c.complete(g2.LeaseID, LeaseReport{
-		WorkerID: w2.WorkerID, Counts: CampaignResult{Total: 128, Detected: 128},
+		WorkerID: w2.WorkerID, Batches: tallies(2, CampaignResult{Total: 64, Detected: 64}),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +105,7 @@ func TestCoordinatorGrantOrderAndMerge(t *testing.T) {
 		t.Fatalf("cursor advanced past a gap: cursor %d acc %+v", p.cursor, p.acc)
 	}
 	if err := c.complete(g1.LeaseID, LeaseReport{
-		WorkerID: w1.WorkerID, Counts: CampaignResult{Total: 128, Ineffective: 28, Detected: 100},
+		WorkerID: w1.WorkerID, Batches: tallies(2, CampaignResult{Total: 64, Ineffective: 14, Detected: 50}),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +119,7 @@ func TestCoordinatorGrantOrderAndMerge(t *testing.T) {
 		t.Fatalf("tail grant %+v", g3)
 	}
 	if err := c.complete(g3.LeaseID, LeaseReport{
-		WorkerID: w1.WorkerID, Counts: CampaignResult{Total: 64, Detected: 64},
+		WorkerID: w1.WorkerID, Batches: tallies(1, CampaignResult{Total: 64, Detected: 64}),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -186,16 +196,16 @@ func TestCoordinatorExpiryReassignsAndConflicts(t *testing.T) {
 	}
 
 	// The original owner's late report is a conflict; the new owner's
-	// progress renews.
-	err := c.complete(g1.LeaseID, LeaseReport{WorkerID: w1.WorkerID, Counts: CampaignResult{Total: 320}})
+	// heartbeat renews the lease and records its done count.
+	err := c.complete(g1.LeaseID, LeaseReport{WorkerID: w1.WorkerID, Batches: tallies(5, CampaignResult{Total: 64, Detected: 64})})
 	if !errors.Is(err, ErrLeaseConflict) {
 		t.Fatalf("stale complete: %v", err)
 	}
-	if err := c.progress(g2.LeaseID, LeaseReport{WorkerID: w2.WorkerID, DoneBatches: 2}); err != nil {
-		t.Fatal(err)
+	if resp, err := c.heartbeat(w2.WorkerID, HeartbeatRequest{Leases: map[string]int{g2.LeaseID: 2}}); err != nil || len(resp.Drop) != 0 {
+		t.Fatalf("new owner's heartbeat: %+v %v", resp, err)
 	}
 	if ls := c.leasesInfo(); ls[0].DoneBatches != 2 {
-		t.Fatalf("progress not recorded: %+v", ls[0])
+		t.Fatalf("heartbeat done count not recorded: %+v", ls[0])
 	}
 	p := c.snapshot("j1")
 	if p.cursor != 0 || p.acc.Total != 0 {
@@ -280,7 +290,7 @@ func TestCoordinatorRegisterFromCheckpoint(t *testing.T) {
 	w := c.join(JoinRequest{})
 	g := acquirePoll(t, c, w.WorkerID)
 	if err := c.complete(g.LeaseID, LeaseReport{
-		WorkerID: w.WorkerID, Counts: CampaignResult{Total: 128, Detected: 120, Ineffective: 8},
+		WorkerID: w.WorkerID, Batches: tallies(2, CampaignResult{Total: 64, Detected: 60, Ineffective: 4}),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -290,10 +300,11 @@ func TestCoordinatorRegisterFromCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRejectsMalformedCompletion: a completion report that cannot
-// be the tally of its lease's range is refused with the typed 400 and
-// changes nothing — the lease stays the worker's and the merge cursor does
-// not move — while the honest report for the same lease is merged.
+// TestCoordinatorRejectsMalformedCompletion: a completion report that is not
+// one exact tally per batch of its lease's range is refused with the typed
+// 400 and changes nothing — the lease stays the worker's and the merge
+// cursor does not move — while the honest report for the same lease is
+// merged.
 func TestCoordinatorRejectsMalformedCompletion(t *testing.T) {
 	c := newCoordinator(DistConfig{LeaseBatches: 2, LeaseTTL: time.Hour})
 	c.register(distTask("j1"), 0, CampaignResult{})
@@ -302,19 +313,20 @@ func TestCoordinatorRejectsMalformedCompletion(t *testing.T) {
 	if g.FirstBatch != 0 || g.LastBatch != 2 {
 		t.Fatalf("grant %+v", g)
 	}
-	honest := CampaignResult{Total: 128, Ineffective: 28, Detected: 100}
+	batch := CampaignResult{Total: 64, Ineffective: 14, Detected: 50}
 	for _, tc := range []struct {
-		name string
-		rep  LeaseReport
+		name    string
+		batches []CampaignResult
 	}{
-		{"total is not the range's runs", LeaseReport{Counts: CampaignResult{Total: 127, Ineffective: 27, Detected: 100}}},
-		{"outcomes do not sum to the total", LeaseReport{Counts: CampaignResult{Total: 128, Detected: 100}}},
-		{"batch tallies are not per-batch", LeaseReport{Counts: honest, Batches: []CampaignResult{
-			{Total: 100, Detected: 100}, {Total: 28, Ineffective: 28},
-		}}},
+		{"no batch tallies", nil},
+		{"one range total for two batches", []CampaignResult{{Total: 128, Ineffective: 28, Detected: 100}}},
+		{"a tally too many", tallies(3, batch)},
+		{"batch tallies are not per-batch", []CampaignResult{{Total: 100, Detected: 100}, {Total: 28, Ineffective: 28}}},
+		{"a batch total is not its runs", []CampaignResult{batch, {Total: 63, Ineffective: 13, Detected: 50}}},
+		{"outcomes do not sum to the total", []CampaignResult{batch, {Total: 64, Detected: 50}}},
+		{"a negative outcome", []CampaignResult{batch, {Total: 64, Ineffective: 78, Detected: -14}}},
 	} {
-		tc.rep.WorkerID = w.WorkerID
-		err := c.complete(g.LeaseID, tc.rep)
+		err := c.complete(g.LeaseID, LeaseReport{WorkerID: w.WorkerID, Batches: tc.batches})
 		if status, code := errorStatus(err); err == nil || status != 400 || code != CodeInvalidRequest {
 			t.Errorf("%s: complete = %v (%d %s), want a 400 %s", tc.name, err, status, code, CodeInvalidRequest)
 		}
@@ -326,13 +338,11 @@ func TestCoordinatorRejectsMalformedCompletion(t *testing.T) {
 		}
 	}
 
-	if err := c.complete(g.LeaseID, LeaseReport{WorkerID: w.WorkerID, Counts: honest, Batches: []CampaignResult{
-		{Total: 64, Ineffective: 14, Detected: 50}, {Total: 64, Ineffective: 14, Detected: 50},
-	}}); err != nil {
+	if err := c.complete(g.LeaseID, LeaseReport{WorkerID: w.WorkerID, Batches: tallies(2, batch)}); err != nil {
 		t.Fatalf("honest report rejected: %v", err)
 	}
-	if p := c.snapshot("j1"); p.cursor != 2 || p.acc != honest {
-		t.Fatalf("honest report: cursor %d acc %+v", p.cursor, p.acc)
+	if p, want := c.snapshot("j1"), (CampaignResult{Total: 128, Ineffective: 28, Detected: 100}); p.cursor != 2 || p.acc != want {
+		t.Fatalf("honest report: cursor %d acc %+v, want %+v", p.cursor, p.acc, want)
 	}
 }
 

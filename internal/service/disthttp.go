@@ -7,15 +7,12 @@ package service
 // enabled the fabric.
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 )
 
-// maxDistRequestBytes bounds worker-protocol payloads; lease reports are a
-// few hundred bytes.
+// maxDistRequestBytes bounds worker-protocol payloads; a lease report
+// carries one short tally per batch of its range.
 const maxDistRequestBytes = 1 << 20
 
 var errDistDisabled = errors.New("distributed fabric disabled (coordinator started without -dist)")
@@ -31,7 +28,6 @@ func (s *Service) registerDist(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/workers/{id}/heartbeat", s.handleWorkerHeartbeat)
 	mux.HandleFunc("POST /v1/workers/{id}/leave", s.handleWorkerLeave)
 	mux.HandleFunc("POST /v1/leases/acquire", s.handleLeaseAcquire)
-	mux.HandleFunc("POST /v1/leases/{id}/progress", s.leaseReportHandler((*coordinator).progress))
 	mux.HandleFunc("POST /v1/leases/{id}/complete", s.leaseReportHandler((*coordinator).complete))
 	mux.HandleFunc("POST /v1/leases/{id}/fail", s.leaseReportHandler((*coordinator).fail))
 }
@@ -44,23 +40,13 @@ func (s *Service) Workers() []WorkerInfo { return s.dist.workersInfo() }
 // service).
 func (s *Service) Leases() []LeaseInfo { return s.dist.leasesInfo() }
 
-// decodeDist reads a worker-protocol body into v.
-func decodeDist(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxDistRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil && err != io.EOF {
-		return fmt.Errorf("decode request: %w", err)
-	}
-	return nil
-}
-
 func (s *Service) handleWorkerJoin(w http.ResponseWriter, r *http.Request) {
 	if s.dist == nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, errDistDisabled)
 		return
 	}
 	var req JoinRequest
-	if err := decodeDist(r, &req); err != nil {
+	if err := decodeRequest(r, maxDistRequestBytes, &req); err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
@@ -73,7 +59,7 @@ func (s *Service) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	var req HeartbeatRequest
-	if err := decodeDist(r, &req); err != nil {
+	if err := decodeRequest(r, maxDistRequestBytes, &req); err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
@@ -100,15 +86,15 @@ func (s *Service) handleWorkerLeave(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleLeaseAcquire grants a lease, or answers 204 when none is grantable
-// (nothing pending, backoff gates closed, or the worker is at capacity) —
-// the worker then sleeps for the advertised poll interval.
+// (nothing pending, or every pending range behind its backoff gate) — the
+// worker then sleeps for the advertised poll interval.
 func (s *Service) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 	if s.dist == nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, errDistDisabled)
 		return
 	}
 	var req AcquireRequest
-	if err := decodeDist(r, &req); err != nil {
+	if err := decodeRequest(r, maxDistRequestBytes, &req); err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
@@ -125,9 +111,9 @@ func (s *Service) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 	writeStatus(w, http.StatusOK, grant)
 }
 
-// leaseReportHandler adapts one coordinator report method (progress,
-// complete, fail) to the wire; ownership violations surface as 409
-// conflict so a superseded worker knows to discard its work.
+// leaseReportHandler adapts one coordinator report method (complete, fail)
+// to the wire; ownership violations surface as 409 conflict so a superseded
+// worker knows to discard its work.
 func (s *Service) leaseReportHandler(report func(*coordinator, string, LeaseReport) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.dist == nil {
@@ -135,7 +121,7 @@ func (s *Service) leaseReportHandler(report func(*coordinator, string, LeaseRepo
 			return
 		}
 		var rep LeaseReport
-		if err := decodeDist(r, &rep); err != nil {
+		if err := decodeRequest(r, maxDistRequestBytes, &rep); err != nil {
 			writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 			return
 		}

@@ -9,8 +9,9 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/service"
 	"repro/internal/service/client"
@@ -66,14 +67,21 @@ func TestE2ETypedErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestE2EResultsQueryRejectsUnknownParameters: GET /v1/results refuses a
-// query key outside its vocabulary with the typed 400, the way POST
-// /v1/jobs refuses unknown fields, instead of answering for the default
-// campaign; every key the client encoder emits is inside the vocabulary.
+// TestE2EResultsQueryRejectsUnknownParameters: POST /v1/results reads the
+// body POST /v1/jobs takes with the same strict decoder, so a field outside
+// the JobRequest schema is refused with the typed 400 instead of answering
+// for some other campaign, and every campaign the schema expresses — two
+// faults at once, a persistent table corruption — can be looked up.
 func TestE2EResultsQueryRejectsUnknownParameters(t *testing.T) {
-	_, c := startDaemon(t, service.Config{Workers: 1})
-	for _, query := range []string{"sboxx=3", "runs=64&lane_words=4", "seed=0x1&Seed=0x2"} {
-		resp, err := http.Get(c.BaseURL + "/v1/results?" + query)
+	_, c := startDaemon(t, service.Config{Workers: 1, StateDir: t.TempDir()})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	for _, body := range []string{
+		`{"kind":"campaign","sboxx":3}`,
+		`{"kind":"campaign","campaign":{"runs":64,"lane_words":4,"faults":[{"sbox":13,"bit":2}]}}`,
+		`{"kind":"campaign","campaign":{"runs":64,"faults":[{"sbox":13,"bitt":2}]}}`,
+	} {
+		resp, err := http.Post(c.BaseURL+"/v1/results", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,24 +91,35 @@ func TestE2EResultsQueryRejectsUnknownParameters(t *testing.T) {
 		err = json.NewDecoder(resp.Body).Decode(&envelope)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusBadRequest || envelope.Error.Code != service.CodeInvalidRequest {
-			t.Errorf("GET /v1/results?%s: status %d envelope %+v (%v), want 400 %s",
-				query, resp.StatusCode, envelope, err, service.CodeInvalidRequest)
+			t.Errorf("POST /v1/results %s: status %d envelope %+v (%v), want 400 %s",
+				body, resp.StatusCode, envelope, err, service.CodeInvalidRequest)
 		}
 	}
+	var apiErr *client.Error
+	if _, err := c.Results(ctx, service.JobRequest{Kind: service.KindLint}); !asClientError(err, &apiErr) || apiErr.Code != service.CodeInvalidRequest {
+		t.Errorf("results for a lint request: %v, want 400 %s", err, service.CodeInvalidRequest)
+	}
 
-	cycle := 28
-	req := e2eRequest(e2eRuns, "per-sbox")
-	req.Design.Engine, req.Design.SeparateSbox = "bdd", true
-	req.Campaign.Faults[0].Branch, req.Campaign.Faults[0].Cycle = "redundant", &cycle
-	vals, err := service.ResultsQueryValues(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := service.ParseResultsQuery(vals)
-	if err != nil {
-		t.Fatalf("encoded query %q refused: %v", vals.Encode(), err)
-	}
-	if !reflect.DeepEqual(got, req) {
-		t.Fatalf("query round trip:\n got  %+v\n want %+v", got, req)
+	twoFaults := e2eRequest(e2eRuns, "prime")
+	twoFaults.Campaign.Faults = append(twoFaults.Campaign.Faults,
+		service.FaultSpec{Branch: "redundant", Sbox: 7, Bit: 1, Model: "bit-flip"})
+	persistent := e2eRequest(e2eRuns, "prime")
+	persistent.Campaign.Faults = nil
+	persistent.Campaign.Persistent = &service.PersistentSpec{Entry: 3, Mask: 0x5}
+	for name, req := range map[string]service.JobRequest{"two-fault": twoFaults, "persistent": persistent} {
+		view, err := c.Results(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if view.Batches != 5 || view.CachedBatches != 0 || view.Complete {
+			t.Fatalf("%s before submission: %+v", name, view)
+		}
+		got := submitAndWait(t, ctx, c, req)
+		if view, err = c.Results(ctx, req); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !view.Complete || view.CachedBatches != 5 || view.Result == nil || *view.Result != got {
+			t.Fatalf("%s after submission: %+v, want the job's result %+v", name, view, got)
+		}
 	}
 }

@@ -9,29 +9,32 @@ package service_test
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/service"
 	"repro/internal/service/client"
 	"repro/internal/sim"
 )
 
 // distDaemonConfig tunes the coordinator for fast failure detection: short
-// leases, tight heartbeats, one batch per lease so a 5-batch campaign
-// spreads across many grants.
+// leases (workers heartbeat every TTL/3), one batch per lease so a 5-batch
+// campaign spreads across many grants.
 func distDaemonConfig() service.Config {
 	return service.Config{
 		Workers:             1,
 		CheckpointEveryRuns: 64,
 		Dist: service.DistConfig{
-			Enabled:        true,
-			LeaseBatches:   1,
-			LeaseTTL:       300 * time.Millisecond,
-			MaxAttempts:    8,
-			HeartbeatEvery: 60 * time.Millisecond,
-			PollEvery:      20 * time.Millisecond,
+			Enabled:      true,
+			LeaseBatches: 1,
+			LeaseTTL:     300 * time.Millisecond,
+			MaxAttempts:  8,
+			PollEvery:    20 * time.Millisecond,
 		},
 	}
 }
@@ -58,9 +61,8 @@ func TestE2EDistributedKillWorkerBitIdentical(t *testing.T) {
 			leasedA := make(chan service.LeaseGrant, 1)
 			var wa *client.Worker
 			wa = client.NewWorker(client.WorkerConfig{
-				Coordinator:  c.BaseURL,
-				Name:         "victim",
-				ChunkBatches: 1,
+				Coordinator: c.BaseURL,
+				Name:        "victim",
 				OnLease: func(g service.LeaseGrant) {
 					wa.Kill()
 					select {
@@ -80,9 +82,8 @@ func TestE2EDistributedKillWorkerBitIdentical(t *testing.T) {
 			// Worker B joins only after A is dead while holding a lease, so
 			// at least one reassignment is guaranteed.
 			wb := client.NewWorker(client.WorkerConfig{
-				Coordinator:  c.BaseURL,
-				Name:         "survivor",
-				ChunkBatches: 1,
+				Coordinator: c.BaseURL,
+				Name:        "survivor",
 			})
 			go func() { runDone <- wb.Run(ctx) }()
 
@@ -159,9 +160,8 @@ func TestE2EDistributedGracefulWorkerExit(t *testing.T) {
 	defer astop()
 	leasedA := make(chan struct{}, 1)
 	wa := client.NewWorker(client.WorkerConfig{
-		Coordinator:  c.BaseURL,
-		Name:         "drained",
-		ChunkBatches: 1,
+		Coordinator: c.BaseURL,
+		Name:        "drained",
 		OnLease: func(service.LeaseGrant) {
 			astop()
 			select {
@@ -179,9 +179,8 @@ func TestE2EDistributedGracefulWorkerExit(t *testing.T) {
 	}
 
 	wb := client.NewWorker(client.WorkerConfig{
-		Coordinator:  c.BaseURL,
-		Name:         "steady",
-		ChunkBatches: 2,
+		Coordinator: c.BaseURL,
+		Name:        "steady",
 	})
 	go func() { runDone <- wb.Run(ctx) }()
 
@@ -303,4 +302,112 @@ func TestE2EDistributedCoordinatorDrainAndResume(t *testing.T) {
 	}
 	cancel()
 	<-runDone
+}
+
+// TestE2EDistributedCompletionNeedsBatchTallies plays a worker by hand over
+// the wire: a completion that does not carry exactly one tally per batch of
+// its lease — a bare range total included — gets the typed 400 and changes
+// nothing, and the honest per-batch report for the same lease then finishes
+// the job bit-identical to the single-node run.
+func TestE2EDistributedCompletionNeedsBatchTallies(t *testing.T) {
+	cfg := distDaemonConfig()
+	cfg.Dist.LeaseBatches = 8
+	cfg.Dist.LeaseTTL = time.Minute
+	_, c := startDaemon(t, cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	req := e2eRequest(e2eRuns, "prime")
+	st, err := c.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr, err := c.JoinWorker(ctx, service.JoinRequest{Name: "by-hand"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g *service.LeaseGrant
+	for g == nil {
+		if g, err = c.AcquireLease(ctx, jr.WorkerID); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if g.FirstBatch != 0 || g.LastBatch != 5 {
+		t.Fatalf("grant %+v, want the whole 5-batch campaign", g)
+	}
+	camp, err := service.BuildCampaign(g.Design, &g.Campaign, service.EngineDefaults{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var honest []service.CampaignResult
+	if _, err := camp.ExecuteBatchesFunc(ctx, g.FirstBatch, g.LastBatch, nil, func(_ int, r fault.Result) {
+		honest = append(honest, service.NewCampaignResult(r))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var total service.CampaignResult
+	for _, b := range honest {
+		total.Accumulate(b)
+	}
+	totalJSON, err := json.Marshal(total)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	complete := func(body string) (int, service.ErrorBody) {
+		t.Helper()
+		resp, err := http.Post(c.BaseURL+"/v1/leases/"+g.LeaseID+"/complete", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var envelope struct {
+			Error service.ErrorBody `json:"error"`
+		}
+		_ = json.NewDecoder(resp.Body).Decode(&envelope)
+		return resp.StatusCode, envelope.Error
+	}
+	worker := `"worker_id":"` + jr.WorkerID + `"`
+	for name, body := range map[string]string{
+		"range total only":   `{` + worker + `,"counts":` + string(totalJSON) + `}`,
+		"no batch tallies":   `{` + worker + `}`,
+		"one batch short":    mustReport(t, jr.WorkerID, honest[:4]),
+		"range total as one": mustReport(t, jr.WorkerID, []service.CampaignResult{total}),
+	} {
+		if status, e := complete(body); status != http.StatusBadRequest || e.Code != service.CodeInvalidRequest {
+			t.Errorf("%s: status %d %+v, want 400 %s", name, status, e, service.CodeInvalidRequest)
+		}
+		ls, err := c.Leases(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ls) != 1 || ls[0].State != service.LeaseActive || ls[0].Worker != jr.WorkerID {
+			t.Fatalf("%s: rejected report changed the lease table: %+v", name, ls)
+		}
+		if cur, err := c.Get(ctx, st.ID); err != nil || (cur.Progress != nil && cur.Progress.Done != 0) || cur.State.Terminal() {
+			t.Fatalf("%s: rejected report moved the job: %+v %v", name, cur, err)
+		}
+	}
+
+	if status, e := complete(mustReport(t, jr.WorkerID, honest)); status != http.StatusOK {
+		t.Fatalf("honest report: status %d %+v", status, e)
+	}
+	final, err := c.Wait(ctx, st.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != service.StateDone || *final.Result.Campaign != directResult(t, e2eRuns, "prime") {
+		t.Fatalf("job after the honest report: %s %+v", final.State, final.Result)
+	}
+}
+
+// mustReport encodes a completion report carrying batches.
+func mustReport(t *testing.T, workerID string, batches []service.CampaignResult) string {
+	t.Helper()
+	b, err := json.Marshal(service.LeaseReport{WorkerID: workerID, Batches: batches})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -107,7 +107,7 @@ func TestE2EMultiFaultBitIdenticalAcrossFabric(t *testing.T) {
 			wctx, wstop := context.WithCancel(ctx)
 			defer wstop()
 			workerDone := make(chan error, 1)
-			w := client.NewWorker(client.WorkerConfig{Coordinator: c.BaseURL, Name: "mf-worker", ChunkBatches: 1})
+			w := client.NewWorker(client.WorkerConfig{Coordinator: c.BaseURL, Name: "mf-worker"})
 			go func() { workerDone <- w.Run(wctx) }()
 			dist := finishMultiFault(t, svc, st.ID)
 			wstop()

@@ -229,7 +229,7 @@ func TestE2EStoreDistributedResubmitGrantsNoLeases(t *testing.T) {
 	svc, srv, c := storeDaemon(t, cfg)
 	defer func() { srv.Close(); svc.Close() }()
 
-	w := client.NewWorker(client.WorkerConfig{Coordinator: c.BaseURL, Name: "filler", ChunkBatches: 1})
+	w := client.NewWorker(client.WorkerConfig{Coordinator: c.BaseURL, Name: "filler"})
 	wctx, wstop := context.WithCancel(ctx)
 	runDone := make(chan error, 1)
 	go func() { runDone <- w.Run(wctx) }()

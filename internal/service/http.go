@@ -85,7 +85,7 @@ const maxRequestBytes = 8 << 20
 //	DELETE /v1/jobs/{id}              cancel
 //	POST   /v1/jobs/{id}/cancel      cancel (proxy-friendly alias)
 //	GET    /v1/jobs/{id}/stream      NDJSON progress stream
-//	GET    /v1/results               stored campaign results by content address (zero simulation)
+//	POST   /v1/results               stored campaign results by content address (JobRequest -> ResultsView, zero simulation)
 //	GET    /v1/runs                  stored campaign run records (provenance)
 //	GET    /v1/runs/{id}             one stored run record
 //	GET    /v1/healthz               liveness
@@ -96,14 +96,13 @@ const maxRequestBytes = 8 << 20
 //	POST   /v1/workers/{id}/heartbeat lease renewal
 //	POST   /v1/workers/{id}/leave    clean worker departure
 //	POST   /v1/leases/acquire        pull a lease (204 when none)
-//	POST   /v1/leases/{id}/progress  partial tally + renewal
-//	POST   /v1/leases/{id}/complete  final tally
+//	POST   /v1/leases/{id}/complete  per-batch tallies of the whole range
 //	POST   /v1/leases/{id}/fail      error report, lease requeued
 //
 // Errors use the typed envelope {"error":{"code","message"}}.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
+	mux.HandleFunc("POST /v1/jobs", jobRequestHandler(http.StatusAccepted, s.Submit))
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		writeStatus(w, http.StatusOK, map[string]any{"jobs": s.List()})
 	})
@@ -111,7 +110,7 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleCancel)
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
-	mux.HandleFunc("GET /v1/results", s.handleResults)
+	mux.HandleFunc("POST /v1/results", jobRequestHandler(http.StatusOK, s.Results))
 	mux.HandleFunc("GET /v1/runs", func(w http.ResponseWriter, r *http.Request) {
 		writeStatus(w, http.StatusOK, map[string]any{"runs": s.StoredRuns()})
 	})
@@ -146,39 +145,36 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.Metrics.WritePrometheus(w)
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBytes))
+// decodeRequest reads a JSON request body of at most limit bytes into v,
+// refusing unknown fields so a misspelled key is an error rather than a
+// silent default. An empty body leaves v zero.
+func decodeRequest(r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(io.LimitReader(r.Body, limit))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, fmt.Errorf("decode request: %w", err))
-		return
+	if err := dec.Decode(v); err != nil && err != io.EOF {
+		return fmt.Errorf("decode request: %w", err)
 	}
-	st, err := s.Submit(req)
-	if err != nil {
-		status, code := errorStatus(err)
-		writeError(w, status, code, err)
-		return
-	}
-	writeStatus(w, http.StatusAccepted, st)
+	return nil
 }
 
-// resultsHandler serves stored campaign results by content address. The
-// query vocabulary mirrors `sconectl submit` flags; the response is a
-// ResultsView and never triggers simulation.
-func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
-	req, err := ParseResultsQuery(r.URL.Query())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
-		return
+// jobRequestHandler adapts a service call on a JobRequest body — the
+// submission schema, which POST /v1/jobs and POST /v1/results share — to
+// the wire, answering success with the call's result.
+func jobRequestHandler[T any](success int, call func(JobRequest) (T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req JobRequest
+		if err := decodeRequest(r, maxRequestBytes, &req); err != nil {
+			writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
+			return
+		}
+		out, err := call(req)
+		if err != nil {
+			status, code := errorStatus(err)
+			writeError(w, status, code, err)
+			return
+		}
+		writeStatus(w, success, out)
 	}
-	view, err := s.Results(req)
-	if err != nil {
-		status, code := errorStatus(err)
-		writeError(w, status, code, err)
-		return
-	}
-	writeStatus(w, http.StatusOK, view)
 }
 
 func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {

@@ -99,8 +99,9 @@ type DesignSpec struct {
 	Engine  string `json:"engine,omitempty"`  // anf, bdd
 	// SeparateSbox selects the ACISP-style split S-box layout ablation.
 	SeparateSbox bool `json:"separate_sbox,omitempty"`
-	// Optimize runs the synthesis optimiser (area jobs only: optimised
-	// designs lose the probe points fault campaigns address).
+	// Optimize runs the synthesis optimiser (area, lint and prove jobs
+	// only: optimised designs lose the probe points fault campaigns
+	// address).
 	Optimize bool `json:"optimize,omitempty"`
 	// Netlist is an inline text netlist (area/lint jobs), read laxly so
 	// the linter can be pointed at structurally broken modules.
@@ -286,6 +287,9 @@ func (r *JobRequest) Validate() error {
 		if _, err := parseModel(r.Attack.Model); err != nil {
 			return err
 		}
+		if a := r.Attack; (a.Sbox != nil && *a.Sbox < 0) || (a.Bit != nil && *a.Bit < 0) {
+			return fmt.Errorf("%s attack: negative S-box coordinates", r.Kind)
+		}
 	case KindMultiFault:
 		m := r.MultiFault
 		if m == nil {
@@ -355,8 +359,16 @@ func (r *JobRequest) Validate() error {
 	default:
 		return fmt.Errorf("unknown job kind %q", r.Kind)
 	}
-	if r.Design.Netlist != "" && r.Kind != KindArea && r.Kind != KindLint && r.Kind != KindProve {
-		return fmt.Errorf("%s jobs need a synthesised design, not an inline netlist", r.Kind)
+	// Only the design-inspecting kinds take an inline netlist or an
+	// optimised design: optimisation removes the probe points that
+	// campaigns, attacks and leakage runs address.
+	if r.Kind != KindArea && r.Kind != KindLint && r.Kind != KindProve {
+		if r.Design.Netlist != "" {
+			return fmt.Errorf("%s jobs need a synthesised design, not an inline netlist", r.Kind)
+		}
+		if r.Design.Optimize {
+			return fmt.Errorf("%s jobs need an unoptimised design", r.Kind)
+		}
 	}
 	if r.Design.Netlist == "" {
 		if _, _, err := ParseDesign(r.Design); err != nil {

@@ -1,7 +1,7 @@
 package service
 
 // The result-store integration: campaign content addressing, the zero-
-// simulation read surface (GET /v1/results, /v1/runs) and the conversion
+// simulation read surface (POST /v1/results, GET /v1/runs) and the conversion
 // helpers between the engine's tallies and the store's record types.
 //
 // A campaign's content address covers everything a batch outcome depends on
@@ -17,10 +17,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/url"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/fault"
@@ -118,10 +114,10 @@ type ResultsView struct {
 	Partial  CampaignResult  `json:"partial"`
 }
 
-// Results answers a campaign query purely from the store: the design is
-// synthesised (to compute the content address) but not a single run is
-// simulated. A service without a result store answers honestly with zero
-// cached batches.
+// Results answers a campaign query purely from the store: req is the
+// campaign request a submission would carry, and the design is synthesised
+// (to compute the content address) but not a single run is simulated. A
+// service without a result store answers honestly with zero cached batches.
 func (s *Service) Results(req JobRequest) (ResultsView, error) {
 	if req.Kind != KindCampaign {
 		return ResultsView{}, fmt.Errorf("results query needs a campaign request, got kind %q", req.Kind)
@@ -176,165 +172,6 @@ func (s *Service) StoredRun(id string) (RunRecord, error) {
 		return RunRecord{}, ErrUnknownJob
 	}
 	return rec, nil
-}
-
-// ResultsQueryValues encodes a campaign request as the GET /v1/results
-// query string. It is the inverse of ParseResultsQuery, restricted to the
-// single-fault form the query vocabulary (the sconectl submit flags) can
-// express.
-func ResultsQueryValues(req JobRequest) (url.Values, error) {
-	if req.Kind != KindCampaign || req.Campaign == nil {
-		return nil, fmt.Errorf("results query needs a campaign request")
-	}
-	if len(req.Campaign.Faults) != 1 {
-		return nil, fmt.Errorf("results query expresses exactly one fault, got %d", len(req.Campaign.Faults))
-	}
-	c, f := req.Campaign, req.Campaign.Faults[0]
-	v := url.Values{}
-	set := func(key, val string) {
-		if val != "" {
-			v.Set(key, val)
-		}
-	}
-	set("cipher", req.Design.Cipher)
-	set("scheme", req.Design.Scheme)
-	set("entropy", req.Design.Entropy)
-	set("engine", req.Design.Engine)
-	if req.Design.SeparateSbox {
-		v.Set("separate_sbox", "true")
-	}
-	v.Set("runs", strconv.Itoa(c.Runs))
-	v.Set("seed", "0x"+strconv.FormatUint(uint64(c.Seed), 16))
-	v.Set("key", "0x"+strconv.FormatUint(uint64(c.Key[0]), 16)+",0x"+strconv.FormatUint(uint64(c.Key[1]), 16))
-	v.Set("sbox", strconv.Itoa(f.Sbox))
-	v.Set("bit", strconv.Itoa(f.Bit))
-	set("model", f.Model)
-	set("branch", f.Branch)
-	if f.Cycle != nil {
-		v.Set("cycle", strconv.Itoa(*f.Cycle))
-	}
-	return v, nil
-}
-
-// resultsQueryKeys is the GET /v1/results query vocabulary.
-var resultsQueryKeys = map[string]bool{
-	"cipher": true, "scheme": true, "entropy": true, "engine": true, "separate_sbox": true,
-	"runs": true, "seed": true, "key": true, "sbox": true, "bit": true, "model": true, "branch": true, "cycle": true,
-}
-
-// ParseResultsQuery decodes the GET /v1/results query string into a
-// campaign request, mirroring the sconectl submit flag vocabulary: cipher,
-// scheme, entropy, engine, separate_sbox, runs, seed, key, sbox, bit,
-// model, branch, cycle. Absent parameters take the submit defaults; any
-// other parameter is refused, as POST /v1/jobs refuses unknown fields, so
-// a misspelled key can never answer for the default campaign.
-func ParseResultsQuery(v url.Values) (JobRequest, error) {
-	var unknown []string
-	for k := range v {
-		if !resultsQueryKeys[k] {
-			unknown = append(unknown, k)
-		}
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		return JobRequest{}, fmt.Errorf("unknown results query parameters %q", unknown)
-	}
-	req := JobRequest{
-		Kind: KindCampaign,
-		Design: DesignSpec{
-			Cipher:  v.Get("cipher"),
-			Scheme:  v.Get("scheme"),
-			Entropy: v.Get("entropy"),
-			Engine:  v.Get("engine"),
-		},
-	}
-	var err error
-	if req.Design.SeparateSbox, err = queryBool(v, "separate_sbox"); err != nil {
-		return req, err
-	}
-	c := &CampaignSpec{Runs: 80000}
-	if c.Runs, err = queryInt(v, "runs", c.Runs); err != nil {
-		return req, err
-	}
-	if c.Seed, err = queryU64(v, "seed", 0x5C09E2021); err != nil {
-		return req, err
-	}
-	c.Key = [2]U64{0x0123456789ABCDEF, 0x8421}
-	if raw := v.Get("key"); raw != "" {
-		if c.Key, err = splitKey(raw); err != nil {
-			return req, err
-		}
-	}
-	f := FaultSpec{Sbox: 13, Bit: 2, Model: v.Get("model"), Branch: v.Get("branch")}
-	if f.Sbox, err = queryInt(v, "sbox", f.Sbox); err != nil {
-		return req, err
-	}
-	if f.Bit, err = queryInt(v, "bit", f.Bit); err != nil {
-		return req, err
-	}
-	if raw := v.Get("cycle"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil {
-			return req, fmt.Errorf("bad cycle %q", raw)
-		}
-		f.Cycle = &n
-	}
-	c.Faults = []FaultSpec{f}
-	req.Campaign = c
-	return req, nil
-}
-
-func queryInt(v url.Values, key string, def int) (int, error) {
-	raw := v.Get(key)
-	if raw == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", key, raw)
-	}
-	return n, nil
-}
-
-func queryU64(v url.Values, key string, def U64) (U64, error) {
-	raw := v.Get(key)
-	if raw == "" {
-		return def, nil
-	}
-	u, err := ParseU64(raw)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", key, raw)
-	}
-	return u, nil
-}
-
-func queryBool(v url.Values, key string) (bool, error) {
-	switch raw := v.Get(key); raw {
-	case "", "false", "0":
-		return false, nil
-	case "true", "1":
-		return true, nil
-	default:
-		return false, fmt.Errorf("bad %s %q", key, raw)
-	}
-}
-
-// splitKey parses the "lo,hi" key form shared with sconectl.
-func splitKey(s string) ([2]U64, error) {
-	var k [2]U64
-	lo, hi, found := strings.Cut(s, ",")
-	v, err := ParseU64(lo)
-	if err != nil {
-		return k, fmt.Errorf("bad key: %w", err)
-	}
-	k[0] = v
-	if found {
-		if v, err = ParseU64(hi); err != nil {
-			return k, fmt.Errorf("bad key: %w", err)
-		}
-		k[1] = v
-	}
-	return k, nil
 }
 
 // runProvenance tracks one campaign execution's run record as it evolves:

@@ -105,6 +105,13 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 		{"bad scheme", JobRequest{Kind: KindLint, Design: DesignSpec{Scheme: "hope"}}},
 		{"bad entropy", JobRequest{Kind: KindLint, Design: DesignSpec{Entropy: "vibes"}}},
 		{"bad engine", JobRequest{Kind: KindLint, Design: DesignSpec{Engine: "hdl"}}},
+		// Optimised designs lose the probe points these kinds address.
+		{"optimised campaign", JobRequest{Kind: KindCampaign, Design: DesignSpec{Optimize: true}, Campaign: &CampaignSpec{Runs: 10, Faults: []FaultSpec{{}}}}},
+		{"optimised attack", JobRequest{Kind: KindSIFA, Design: DesignSpec{Optimize: true}, Attack: &AttackSpec{}}},
+		{"optimised multifault", JobRequest{Kind: KindMultiFault, Design: DesignSpec{Optimize: true}, MultiFault: &MultiFaultSpec{RunsPerTuple: 64}}},
+		{"optimised leakage", JobRequest{Kind: KindLeakage, Design: DesignSpec{Optimize: true}, Leakage: &LeakageSpec{Pairs: 32}}},
+		{"attack negative sbox", JobRequest{Kind: KindSIFA, Attack: &AttackSpec{Sbox: intp(-1)}}},
+		{"attack negative bit", JobRequest{Kind: KindFTA, Attack: &AttackSpec{Bit: intp(-1)}}},
 	}
 	for _, tc := range cases {
 		if err := tc.req.Validate(); err == nil {
@@ -115,7 +122,15 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid request rejected: %v", err)
 	}
+	for _, k := range []Kind{KindArea, KindLint, KindProve} {
+		req := JobRequest{Kind: k, Design: DesignSpec{Optimize: true}}
+		if err := req.Validate(); err != nil {
+			t.Errorf("optimised %s request rejected: %v", k, err)
+		}
+	}
 }
+
+func intp(v int) *int { return &v }
 
 // The service's campaign result must be bit-identical to a direct
 // library-level Campaign.Execute with the same parameters.

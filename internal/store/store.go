@@ -246,7 +246,7 @@ func (s *Store) GetBatch(k BatchKey) (Counts, bool) {
 }
 
 // PeekBatch is GetBatch without the hit/miss instruments: read-only query
-// surfaces (GET /v1/results) use it, so the cache metrics keep measuring
+// surfaces (POST /v1/results) use it, so the cache metrics keep measuring
 // only the replay decision inside job execution.
 func (s *Store) PeekBatch(k BatchKey) (Counts, bool) {
 	if s == nil {

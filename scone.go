@@ -498,7 +498,7 @@ type (
 
 type (
 	// ResultsView is the zero-simulation answer to a stored-results query
-	// (Service.Results, GET /v1/results): how much of the addressed
+	// (Service.Results, POST /v1/results): how much of the addressed
 	// campaign is cached, and the complete result when all of it is.
 	ResultsView = service.ResultsView
 	// CampaignRunRecord is the durable provenance of one campaign
@@ -643,7 +643,7 @@ type (
 	// is a thin shell around it.
 	CampaignWorker = client.Worker
 	// CampaignWorkerConfig points a CampaignWorker at its coordinator and
-	// tunes chunking and concurrency.
+	// sets its simulation parallelism.
 	CampaignWorkerConfig = client.WorkerConfig
 )
 
@@ -663,8 +663,6 @@ const (
 	LeasePending = service.LeasePending
 	// LeaseActive is a granted range being executed under a TTL.
 	LeaseActive = service.LeaseActive
-	// LeaseDone is a completed range merged into the job result.
-	LeaseDone = service.LeaseDone
 )
 
 // NewCampaignWorker creates a worker that joins the coordinator named in
