@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-test bench-full bench-smoke fmt fmt-check vet lint sconelint fuzz serve e2e e2e-dist e2e-store e2e-prove e2e-multifault e2e-leakage ci
+.PHONY: all build test race bench bench-test bench-full bench-smoke fmt fmt-check vet lint audit fuzz serve e2e e2e-dist e2e-store e2e-prove e2e-multifault e2e-leakage ci
 
 all: build test
 
@@ -117,19 +117,26 @@ e2e-leakage:
 		-run 'TestE2ELeakage|TestLeakage|TestFacadeLeakage|TestTTest' \
 		./internal/service/... ./internal/leakage/... ./internal/stats/... .
 
-# Static countermeasure audit: the synthesised PRESENT-80 three-in-one
-# core must lint clean for every entropy variant, and the unprotected
-# baseline must be flagged.
-sconelint:
-	$(GO) run ./cmd/sconelint -summary -cipher present80 -scheme three-in-one -entropy prime
-	$(GO) run ./cmd/sconelint -summary -cipher present80 -scheme three-in-one -entropy per-round
-	$(GO) run ./cmd/sconelint -summary -cipher present80 -scheme three-in-one -entropy per-sbox
-	@if $(GO) run ./cmd/sconelint -rules lambda-cone -scheme unprotected >/dev/null 2>&1; then \
-		echo "sconelint failed to flag the unprotected core" >&2; exit 1; \
-	else echo "unprotected core correctly flagged"; fi
+# Static countermeasure audit (`sconectl lint`) on every cipher: the
+# synthesised three-in-one core must lint clean for every entropy variant,
+# and the unprotected baseline must be flagged — exit status 1 with an
+# error[lambda-cone] finding, so a build failure or a mistyped flag cannot
+# pass for a flagged core.
+audit:
+	@for spec in present80 gift64 scone64; do \
+		for entropy in prime per-round per-sbox; do \
+			$(GO) run ./cmd/sconectl lint -summary -spec $$spec -scheme three-in-one -entropy $$entropy || exit 1; \
+		done; \
+		out=$$($(GO) run ./cmd/sconectl lint -rules lambda-cone -spec $$spec -scheme unprotected 2>&1); rc=$$?; \
+		if [ $$rc -ne 1 ] || ! printf '%s\n' "$$out" | grep -q 'error\[lambda-cone\]'; then \
+			printf '%s\n' "$$out" >&2; \
+			echo "audit: the unprotected $$spec core was not flagged (exit $$rc)" >&2; exit 1; \
+		fi; \
+		echo "unprotected $$spec core correctly flagged"; \
+	done
 
 # Replay the checked-in fuzz seed corpora (no open-ended fuzzing).
 fuzz:
 	$(GO) test -run=Fuzz ./internal/netlist ./internal/lint ./internal/store ./internal/prove ./internal/plan ./internal/service
 
-ci: fmt-check build lint test race bench-smoke bench-test fuzz sconelint
+ci: fmt-check build lint test race bench-smoke bench-test fuzz audit

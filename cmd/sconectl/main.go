@@ -1,6 +1,8 @@
-// Command sconectl is the CLI client for a running sconed daemon.
+// Command sconectl is the scone command line: the client for a running
+// sconed daemon, and the local tools that synthesise, simulate, attack and
+// audit the paper's designs in-process.
 //
-// Usage:
+// Daemon commands:
 //
 //	sconectl [-server URL] submit -kind campaign -cipher present80 \
 //	         -scheme three-in-one -entropy prime -runs 80000 \
@@ -14,8 +16,6 @@
 //	sconectl [-server URL] leakage -cipher present80 -scheme masked \
 //	         -pairs 2048 [-power-model hd|hw] [-fixed-pt 0x...] \
 //	         [-fault -sbox 13 -bit 2 -model stuck-at-0] [-stream]
-//	sconectl plan -cipher present80 -scheme three-in-one -mode kfault \
-//	         -k 2 [-sboxes 13,14] [-max-tuples N]
 //	sconectl [-server URL] get j000000
 //	sconectl [-server URL] list
 //	sconectl [-server URL] cancel j000000
@@ -27,34 +27,55 @@
 //	sconectl [-server URL] leases
 //	sconectl [-server URL] top [-interval 2s] [-iterations N]
 //
-// All output is JSON through the same encoder the daemon uses, so captured
-// CLI transcripts diff cleanly against raw API responses. The one exception
-// is top, which renders a human-readable status screen from the same metrics
-// snapshot, job list and (on a coordinator) worker registry the JSON
-// commands expose.
+// Local commands (no daemon):
+//
+//	sconectl plan -cipher present80 -scheme three-in-one -mode kfault \
+//	         -k 2 [-sboxes 13,14] [-max-tuples N]
+//	sconectl sim -experiment fig4|fig5|sweep|coverage|twofaults|leakage|persistent \
+//	         [-runs 80000] [-seed N] [-sites 400] [-json]
+//	sconectl area [-table 2|3|all] [-engine anf|bdd] [-ablations]
+//	sconectl attack [-attack dfa|identical|sifa|ifa|fta|all] [-quick] [-json]
+//	sconectl lint [-rules IDs] [-summary] [-json] [-list] [netlist.nl ...]
+//	sconectl netlist [-optimize] [-separate-sbox] [-format stats|text|dot]
+//	sconectl trace [-fault] [-sbox 13] [-bit 2] [-pt N] [-seed N] > run.vcd
+//
+// Every command that picks a design takes the one shared flag surface:
+// -spec (alias -cipher), -scheme, -entropy and -engine.
+//
+// Daemon command output is JSON through the same encoder the daemon uses,
+// so captured CLI transcripts diff cleanly against raw API responses. The
+// one exception is top, which renders a human-readable status screen from
+// the same metrics snapshot, job list and (on a coordinator) worker
+// registry the JSON commands expose.
+//
+// Exit status: 0 on success, 1 on failure. lint exits 1 when it reports
+// findings, with the report on stdout and nothing on stderr.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/cliflags"
 	"repro/internal/plan"
 	"repro/internal/service"
 	"repro/internal/service/client"
 )
 
 func main() {
-	if err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if err == flag.ErrHelp {
-			os.Exit(0)
-		}
+	err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errFindings):
+		os.Exit(1) // the lint report on stdout says why
+	default:
 		fmt.Fprintln(os.Stderr, "sconectl:", err)
 		os.Exit(1)
 	}
@@ -62,7 +83,8 @@ func main() {
 
 func usage(stderr io.Writer, fs *flag.FlagSet) func() {
 	return func() {
-		fmt.Fprintln(stderr, "usage: sconectl [-server URL] <submit|prove|leakage|plan|get|list|cancel|watch|results|runs|metrics|workers|leases|top> [flags]")
+		fmt.Fprintln(stderr, "usage: sconectl [-server URL] <submit|prove|leakage|get|list|cancel|watch|results|runs|metrics|workers|leases|top> [flags]")
+		fmt.Fprintln(stderr, "       sconectl <plan|sim|area|attack|lint|netlist|trace> [flags]")
 		fs.PrintDefaults()
 	}
 }
@@ -88,6 +110,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return cmdSubmit(ctx, c, append([]string{"-kind", cmd}, rest...), stdout, stderr)
 	case "plan":
 		return cmdPlan(rest, stdout, stderr)
+	case "sim":
+		return cmdSim(rest, stdout, stderr)
+	case "area":
+		return cmdArea(rest, stdout, stderr)
+	case "attack":
+		return cmdAttack(rest, stdout, stderr)
+	case "lint":
+		return cmdLint(rest, stdout, stderr)
+	case "netlist":
+		return cmdNetlist(rest, stdout, stderr)
+	case "trace":
+		return cmdTrace(rest, stdout, stderr)
 	case "get":
 		return oneJobCmd(ctx, rest, stdout, c.Get)
 	case "cancel":
@@ -301,7 +335,7 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string, stdout, std
 // Flags registered on fs after this call are parsed along with them.
 func requestFlags(fs *flag.FlagSet) func(args []string) (service.JobRequest, error) {
 	kind := fs.String("kind", "campaign", "job kind: campaign, multifault, dfa, sifa, fta, area, lint, prove, leakage")
-	design := cliflags.RegisterDesign(fs)
+	design := registerDesign(fs)
 	netlistPath := fs.String("netlist", "", "netlist file to upload (area/lint/prove jobs)")
 	runs := fs.Int("runs", 80000, "campaign: simulated encryptions")
 	seed := fs.String("seed", "0x5C09E2021", "campaign/attack seed")
@@ -339,7 +373,7 @@ func requestFlags(fs *flag.FlagSet) func(args []string) (service.JobRequest, err
 		}
 		req := service.JobRequest{
 			Kind:   service.Kind(*kind),
-			Design: design.DesignSpec(),
+			Design: design.designSpec(),
 		}
 		if *netlistPath != "" {
 			b, err := os.ReadFile(*netlistPath)
@@ -416,7 +450,7 @@ func requestFlags(fs *flag.FlagSet) func(args []string) (service.JobRequest, err
 func cmdPlan(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sconectl plan", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	design := cliflags.RegisterDesign(fs)
+	design := registerDesign(fs)
 	mode := fs.String("mode", "kfault", "plan mode: kfault, persistent")
 	arity := fs.Int("k", 2, "kfault: simultaneous fault locations per tuple")
 	sboxes := fs.String("sboxes", "", "comma-separated S-box indices (kfault: site columns; persistent: table entries)")
@@ -431,7 +465,7 @@ func cmdPlan(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	d, err := design.Build()
+	d, err := design.build()
 	if err != nil {
 		return err
 	}
@@ -475,15 +509,17 @@ func cmdPlan(args []string, stdout, stderr io.Writer) error {
 	}
 }
 
-// parseInts parses a comma-separated integer list; empty means none.
+// parseInts parses a comma-separated list of decimal integers; empty means
+// none. Every field must be a whole decimal integer: "13x", "1.5" and
+// "0x10" are rejected, not read as a prefix.
 func parseInts(s string) ([]int, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
 	}
 	var out []int
 	for _, p := range strings.Split(s, ",") {
-		var v int
-		if _, err := fmt.Sscanf(strings.TrimSpace(p), "%d", &v); err != nil {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
 			return nil, fmt.Errorf("bad integer %q in list", p)
 		}
 		out = append(out, v)

@@ -246,6 +246,13 @@ func TestBadInvocations(t *testing.T) {
 	if _, err := runCtl(t, server, "submit", "-seed", "banana"); err == nil {
 		t.Error("non-numeric seed accepted")
 	}
+	// S-box lists are whole decimal integers, never a parsed prefix.
+	if _, err := runCtl(t, server, "plan", "-sboxes", "0x10"); err == nil {
+		t.Error("hex S-box index accepted as 0")
+	}
+	if _, err := runCtl(t, server, "submit", "-kind", "multifault", "-sboxes", "13x"); err == nil {
+		t.Error("S-box index with trailing garbage accepted")
+	}
 }
 
 // TestResultsAndRunsCommands drives the result-store read commands against

@@ -1,5 +1,5 @@
 // Command sconed serves the scone engine as a fault-campaign daemon: an
-// HTTP/JSON API over internal/service with a bounded job queue, a sharded
+// HTTP/JSON API over internal/service with a bounded FIFO job queue, a
 // worker pool, NDJSON progress streaming and durable campaign checkpoints.
 //
 // Usage:
@@ -71,8 +71,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8344", "listen address")
 	state := fs.String("state", "", "state directory for job records and campaign checkpoints (empty: in-memory only)")
-	workers := fs.Int("workers", 2, "worker goroutines / queue shards (jobs running concurrently)")
-	queueDepth := fs.Int("queue", 32, "queued-job capacity per shard")
+	workers := fs.Int("workers", 2, "worker goroutines serving the job queue (jobs running concurrently)")
+	queueDepth := fs.Int("queue", 64, "queued-but-not-started job capacity")
 	ckptRuns := fs.Int("checkpoint-runs", 4096, "campaign checkpoint interval in simulated runs")
 	simWorkers := fs.Int("sim-workers", 0, "goroutines per campaign simulation (0 = GOMAXPROCS)")
 	drainWait := fs.Duration("drain-timeout", 30*time.Second, "how long to wait for running jobs to checkpoint on shutdown")

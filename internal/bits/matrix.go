@@ -59,16 +59,6 @@ func MatInvert(rows []uint64) (inv []uint64, ok bool) {
 	return inv, true
 }
 
-// MatIsIdentity reports whether the matrix is the identity.
-func MatIsIdentity(rows []uint64) bool {
-	for j, r := range rows {
-		if r != 1<<uint(j) {
-			return false
-		}
-	}
-	return true
-}
-
 // RotationXORRows builds the circulant matrix of x -> x ^ (x <<< r1) ^
 // (x <<< r2) ... over n bits; such layers are the cheap mixing functions
 // of several lightweight designs.

@@ -55,8 +55,6 @@ type Design struct {
 
 	// sboxIn[b][s] is the encoded bus feeding S-box s of branch b.
 	sboxIn [3][]netlist.Bus
-	// stateReg[b] is the state register Q bus of branch b.
-	stateReg [3]netlist.Bus
 	// branchCells[b] is the half-open cell-index range of branch b.
 	branchCells [3][2]int
 
@@ -152,14 +150,6 @@ func (d *Design) SboxInputBus(b Branch, s int) netlist.Bus {
 // SboxInputNet returns one bit of SboxInputBus.
 func (d *Design) SboxInputNet(b Branch, s, bit int) netlist.Net {
 	return d.SboxInputBus(b, s)[bit]
-}
-
-// StateRegBus returns the state register Q bus of branch b.
-func (d *Design) StateRegBus(b Branch) netlist.Bus {
-	if !d.probesValid {
-		panic("core: probes are not valid on an optimised design")
-	}
-	return d.stateReg[b]
 }
 
 // CyclesPerRun returns the number of clock cycles one encryption takes
@@ -358,7 +348,6 @@ func Build(spec *spn.Spec, opts Options) (*Design, error) {
 		d.Mod = synth.Optimize(m, synth.DefaultOptOptions())
 		d.probesValid = false
 		d.sboxIn = [3][]netlist.Bus{}
-		d.stateReg = [3]netlist.Bus{}
 		d.branchCells = [3][2]int{}
 	}
 	return d, nil
@@ -399,7 +388,6 @@ func (d *Design) buildBranch(m *netlist.Module, b Branch, sm SboxModules, pt, ke
 	if needLamReg {
 		lamQ = m.NewNets(prefix+"lamreg", len(lam))
 	}
-	d.stateReg[b] = stateQ
 
 	// Register-domain invariant: state bit p is always stored encoded
 	// with λsrc[dom(p)] where λsrc is the λ used by the round that

@@ -270,7 +270,6 @@ func (d *Design) buildMaskedBranch(m *netlist.Module, b Branch, sm SboxModules, 
 	stateQ := m.NewNets(prefix+"state", spec.BlockBits)
 	keyQ := m.NewNets(prefix+"key", spec.KeyStateBits)
 	cntQ := m.NewNets(prefix+"cnt", spec.CounterWidth())
-	d.stateReg[b] = stateQ
 
 	// Round parity selects the active mask set: the register written for
 	// cycle c carries the parity-c masks, and cnt bit 0 is c during cycle

@@ -25,8 +25,6 @@ type Config struct {
 	// Key is the fixed key used for every run (the paper fixes the key
 	// and varies plaintext and λ).
 	Key spn.KeyState
-	// Workers bounds campaign parallelism; 0 means GOMAXPROCS.
-	Workers int
 	// Quick shrinks expensive parameters for unit tests.
 	Quick bool
 }

@@ -67,7 +67,6 @@ func runFig4Panel(cfg Config, d *core.Design) (Fig4Panel, error) {
 		Faults: []fault.Fault{fault.At(net, fault.StuckAt0, d.LastRoundCycle())},
 		Runs:   cfg.runs(),
 		Seed:   cfg.Seed,
-		Engine: fault.EngineConfig{Parallelism: cfg.Workers},
 	}
 	hist := stats.NewHistogram(1 << uint(spec.SboxBits))
 	res, err := camp.Execute(func(r fault.Run) {

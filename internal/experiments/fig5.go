@@ -73,7 +73,6 @@ func runFig5Panel(cfg Config, d *core.Design) (Fig5Panel, error) {
 		Faults: faults,
 		Runs:   cfg.runs(),
 		Seed:   cfg.Seed,
-		Engine: fault.EngineConfig{Parallelism: cfg.Workers},
 	}
 	released := stats.NewHistogram(1 << uint(spec.SboxBits))
 	ineffective := stats.NewHistogram(1 << uint(spec.SboxBits))

@@ -46,7 +46,6 @@ func RunPersistent(cfg Config) (PersistentResult, error) {
 			Design: d, Key: cfg.Key,
 			Faults: []fault.Fault{fault.Always(net, fault.StuckAt1)},
 			Runs:   cfg.runs(), Seed: cfg.Seed ^ 0xFA0,
-			Engine: fault.EngineConfig{Parallelism: cfg.Workers},
 		}
 		res, err := camp.Execute(nil)
 		if err != nil {

@@ -60,7 +60,7 @@ func RunSweep(cfg Config) (SweepResult, error) {
 				}
 				camp := fault.Campaign{
 					Design: d, Key: cfg.Key, Faults: faults,
-					Runs: cfg.runs(), Seed: cfg.Seed, Engine: fault.EngineConfig{Parallelism: cfg.Workers},
+					Runs: cfg.runs(), Seed: cfg.Seed,
 				}
 				res, err := camp.Execute(nil)
 				if err != nil {

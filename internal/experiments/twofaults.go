@@ -57,7 +57,7 @@ func runTwoFaultsPanel(cfg Config, d *core.Design) (TwoFaultsPanel, error) {
 	}
 	camp := fault.Campaign{
 		Design: d, Key: cfg.Key, Faults: faults,
-		Runs: cfg.runs(), Seed: cfg.Seed ^ 0x2F, Engine: fault.EngineConfig{Parallelism: cfg.Workers},
+		Runs: cfg.runs(), Seed: cfg.Seed ^ 0x2F,
 	}
 	histA := stats.NewHistogram(1 << uint(spec.SboxBits))
 	histB := stats.NewHistogram(1 << uint(spec.SboxBits))

@@ -18,7 +18,7 @@
 // "lambda", "load", "garbage", "fault"; register prefixes "b0." / "b1."),
 // and use internal/bdd for the equivalence obligations.
 //
-// Rules run in parallel and emit structured Diagnostics; cmd/sconelint is
+// Rules run in parallel and emit structured Diagnostics; `sconectl lint` is
 // the command-line front end.
 package lint
 

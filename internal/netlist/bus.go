@@ -114,35 +114,6 @@ func (m *Module) MuxBus(a, b Bus, sel Net) Bus {
 	return out
 }
 
-// AndBus returns pairwise ANDs of a and b.
-func (m *Module) AndBus(a, b Bus) Bus {
-	checkSameWidth("AndBus", a, b)
-	out := make(Bus, len(a))
-	for i := range a {
-		out[i] = m.And(a[i], b[i])
-	}
-	return out
-}
-
-// AndWith returns every bit of a ANDed with the single net g.
-func (m *Module) AndWith(a Bus, g Net) Bus {
-	out := make(Bus, len(a))
-	for i := range a {
-		out[i] = m.And(a[i], g)
-	}
-	return out
-}
-
-// XorWith returns every bit of a XORed with the single net g (conditional
-// bitwise inversion: the domain-conversion primitive of the countermeasure).
-func (m *Module) XorWith(a Bus, g Net) Bus {
-	out := make(Bus, len(a))
-	for i := range a {
-		out[i] = m.Xor(a[i], g)
-	}
-	return out
-}
-
 // OrReduce returns the OR of all bits of a using a balanced tree. An empty
 // bus reduces to constant 0.
 func (m *Module) OrReduce(a Bus) Net {
@@ -182,15 +153,6 @@ func (m *Module) reduce(kind CellKind, a Bus, empty func() Net) Net {
 	return work[0]
 }
 
-// DFFBus registers every bit of d and returns the Q bus.
-func (m *Module) DFFBus(d Bus) Bus {
-	out := make(Bus, len(d))
-	for i := range d {
-		out[i] = m.DFF(d[i])
-	}
-	return out
-}
-
 // ConstBus returns a bus of the given width driven with the low bits of
 // value (bit 0 = LSB).
 func (m *Module) ConstBus(width int, value uint64) Bus {
@@ -203,11 +165,6 @@ func (m *Module) ConstBus(width int, value uint64) Bus {
 		}
 	}
 	return out
-}
-
-// EqualZero returns a net that is 1 iff all bits of a are 0.
-func (m *Module) EqualZero(a Bus) Net {
-	return m.Not(m.OrReduce(a))
 }
 
 func checkSameWidth(op string, a, b Bus) {

@@ -1,4 +1,4 @@
-// Package prove is the formal SIFA-independence prover: where sconelint's
+// Package prove is the formal SIFA-independence prover: where the linter's
 // rules prove the countermeasure's *structural* obligations and fault
 // campaigns *sample* its behavioural ones, prove decides them exactly. For
 // every injectable fault location it builds the faulted cone as BDDs and
@@ -59,7 +59,7 @@ const (
 	NumChecks
 )
 
-// RuleID returns the sconelint rule name of the check.
+// RuleID returns the lint rule name of the check.
 func (c Check) RuleID() string {
 	switch c {
 	case CheckIneffectiveBias:

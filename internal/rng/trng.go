@@ -40,11 +40,6 @@ func WithBias(b float64) TRNGOption {
 	return func(t *RingOscillatorTRNG) { t.bias = b }
 }
 
-// WithJitterPPM sets the per-sample jitter strength (default 900 ppm).
-func WithJitterPPM(ppm float64) TRNGOption {
-	return func(t *RingOscillatorTRNG) { t.jitterPPM = ppm }
-}
-
 // WithoutCorrector disables the von Neumann stage, exposing raw (biased)
 // bits — used by tests to demonstrate why the corrector matters.
 func WithoutCorrector() TRNGOption {

@@ -62,7 +62,7 @@ func TestSentinelErrors(t *testing.T) {
 
 func TestQueueFullRoundTrip(t *testing.T) {
 	// One worker, one slot: the first job occupies the worker, the second
-	// fills the shard, a third submission must shed as ErrQueueFull.
+	// fills the queue, a third submission must shed as ErrQueueFull.
 	c := startDaemon(t, service.Config{Workers: 1, QueueDepth: 1})
 	ctx := context.Background()
 
@@ -152,7 +152,7 @@ func TestMetricsBothViews(t *testing.T) {
 	}
 	for _, want := range []string{
 		"# TYPE scone_service_jobs_submitted_total counter",
-		`scone_service_queue_shard_depth_count{shard="0"}`,
+		"scone_service_queue_depth_count",
 		"scone_service_job_wait_ns_bucket",
 	} {
 		if !strings.Contains(text, want) {

@@ -17,7 +17,7 @@ import (
 )
 
 // ParseDesign resolves a synthesised-core spec into build inputs. It is the
-// single place the wire vocabulary (the sconelint flag names) maps onto
+// single place the wire vocabulary (sconectl's design flag names) maps onto
 // core.Options, so every job kind validates and builds identically.
 func ParseDesign(ds DesignSpec) (*spn.Spec, core.Options, error) {
 	var spec *spn.Spec

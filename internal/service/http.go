@@ -10,8 +10,8 @@ import (
 )
 
 // WriteJSON is the one encoder every scone surface shares — the daemon's
-// responses, sconectl's rendering and sconesim -json all go through it, so
-// their outputs are diff-able byte for byte.
+// responses and every sconectl JSON output (`sim -json` included) go
+// through it, so their outputs are diff-able byte for byte.
 func WriteJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -28,7 +28,6 @@ const (
 	CodeQueueFull      = "queue_full"
 	CodeDraining       = "draining"
 	CodeConflict       = "conflict"
-	CodeInternal       = "internal"
 )
 
 // ErrorBody is the payload of the /v1 typed error envelope.

@@ -1,9 +1,9 @@
 // Package service turns the scone engine into a long-lived fault-campaign
-// server: a bounded job queue, a sharded worker pool over fault.Campaign
+// server: a bounded FIFO job queue, a worker pool over fault.Campaign
 // and the attack drivers, per-job seed-deterministic checkpoint/resume and
 // expvar-style metrics. cmd/sconed exposes it over HTTP/JSON; the wire
 // types in this file are its request/response schema and are shared with
-// cmd/sconesim -json so CLI and daemon outputs are diff-able.
+// `sconectl sim -json` so CLI and daemon outputs are diff-able.
 //
 // Determinism contract: a campaign job is defined entirely by its request
 // (design spec, key, faults, run count, seed). Batch b of a campaign
@@ -45,11 +45,6 @@ const (
 	KindLeakage    Kind = "leakage"
 )
 
-// Kinds lists the supported job kinds in a stable order.
-func Kinds() []Kind {
-	return []Kind{KindCampaign, KindDFA, KindSIFA, KindFTA, KindArea, KindLint, KindProve, KindMultiFault, KindLeakage}
-}
-
 // U64 is a uint64 that travels as a hex string ("0x1f"). JSON numbers lose
 // precision above 2^53, and seeds, keys and subkey guesses are genuinely
 // 64-bit; the string form keeps them exact and diff-able.
@@ -90,7 +85,7 @@ func ParseU64(s string) (U64, error) {
 }
 
 // DesignSpec names the design a job operates on: either a core synthesised
-// on the fly (cipher/scheme/entropy/engine, the sconelint vocabulary) or,
+// on the fly (cipher/scheme/entropy/engine, sconectl's design flags) or,
 // for area and lint jobs, an inline netlist in the scone text format.
 type DesignSpec struct {
 	Cipher  string `json:"cipher,omitempty"`  // present80, gift64, scone64
@@ -414,7 +409,7 @@ func (s State) Terminal() bool {
 }
 
 // CampaignResult is the wire form of fault.Result — the one schema shared
-// by the daemon, the client and sconesim -json.
+// by the daemon, the client and `sconectl sim -json`.
 type CampaignResult struct {
 	Total       int `json:"total"`
 	Ineffective int `json:"ineffective"`

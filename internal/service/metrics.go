@@ -2,8 +2,6 @@ package service
 
 import (
 	"io"
-	"sort"
-	"strconv"
 
 	"repro/internal/obs"
 )
@@ -53,10 +51,10 @@ type Metrics struct {
 	LeasesActive     *obs.Gauge
 }
 
-// newMetrics registers the service instruments on reg, including one depth
-// gauge per queue shard. c is the coordinator when the distributed fabric
-// is enabled (nil otherwise; the worker/lease gauges then read zero).
-func newMetrics(reg *obs.Registry, q *queue, c *coordinator) *Metrics {
+// newMetrics registers the service instruments on reg; queueLen samples the
+// job queue's backlog. c is the coordinator when the distributed fabric is
+// enabled (nil otherwise; the worker/lease gauges then read zero).
+func newMetrics(reg *obs.Registry, queueLen func() int, c *coordinator) *Metrics {
 	m := &Metrics{
 		reg:           reg,
 		JobsSubmitted: reg.NewCounter("scone_service_jobs_submitted_total", "Jobs accepted by Submit"),
@@ -69,8 +67,8 @@ func newMetrics(reg *obs.Registry, q *queue, c *coordinator) *Metrics {
 		RunsReplayed:  reg.NewCounter("scone_service_runs_replayed_total", "Campaign runs served from the result store across all jobs"),
 		StreamClients: reg.NewGauge("scone_service_stream_clients_count", "Connected NDJSON stream consumers"),
 		JobsRunning:   reg.NewGauge("scone_service_jobs_running_count", "Jobs currently executing"),
-		QueueDepth: reg.NewGaugeFunc("scone_service_queue_depth_count", "Queued-but-not-started jobs across all shards",
-			func() int64 { return int64(q.Len()) }),
+		QueueDepth: reg.NewGaugeFunc("scone_service_queue_depth_count", "Queued-but-not-started jobs",
+			func() int64 { return int64(queueLen()) }),
 		JobWaitNS:    reg.NewHistogram("scone_service_job_wait_ns", "Queueing latency from Submit to job start", obs.LatencyBuckets()),
 		JobRunNS:     reg.NewHistogram("scone_service_job_run_ns", "Execution time from job start to terminal state", obs.LatencyBuckets()),
 		CheckpointNS: reg.NewHistogram("scone_service_checkpoint_ns", "Durable job-record write time", obs.ExpBuckets(16_000, 4, 12)),
@@ -86,18 +84,8 @@ func newMetrics(reg *obs.Registry, q *queue, c *coordinator) *Metrics {
 		LeasesActive: reg.NewGaugeFunc("scone_service_leases_active_count", "Leases currently granted and unexpired",
 			c.activeLeaseCount),
 	}
-	for i, sh := range q.shards {
-		sh := sh
-		reg.NewGaugeFunc("scone_service_queue_shard_depth_count", "Queued jobs in one shard",
-			func() int64 { return int64(len(sh)) }, "shard", strconv.Itoa(i))
-	}
 	return m
 }
-
-// Registry exposes the backing registry so the daemon can register the sim
-// and fault engine metrics alongside the service's own and render one
-// exposition.
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
 // WritePrometheus renders every registered instrument in Prometheus text
 // exposition format.
@@ -128,15 +116,4 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"leases_expired_total":    m.LeasesExpired.Value(),
 		"leases_reassigned_total": m.LeasesReassigned.Value(),
 	}
-}
-
-// Names returns the snapshot keys sorted, for stable rendering.
-func (m *Metrics) Names() []string {
-	snap := m.Snapshot()
-	names := make([]string, 0, len(snap))
-	for k := range snap {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -2,62 +2,56 @@ package service
 
 import (
 	"errors"
-	"hash/fnv"
-	"sync/atomic"
+	"slices"
 )
 
-// ErrQueueFull is returned by Submit when the target shard's backlog is at
-// capacity; HTTP maps it to 429 so load-shedding is visible to clients.
+// ErrQueueFull is returned by Submit when the backlog is at
+// Config.QueueDepth; HTTP maps it to 429 so load-shedding is visible to
+// clients.
 var ErrQueueFull = errors.New("service: job queue full")
 
 // ErrDraining is returned by Submit once a graceful shutdown has begun.
 var ErrDraining = errors.New("service: draining, not accepting jobs")
 
-// queue is a sharded bounded FIFO of jobs. A job hashes to a shard by ID
-// and each shard is served by exactly one worker goroutine, so jobs on the
-// same shard run strictly in submission order (useful for reproducible
-// multi-job sessions) and no lock is shared on the hot path — the shards
-// are plain buffered channels.
-type queue struct {
-	shards []chan *job
-	depth  int32 // queued-but-not-started jobs, all shards
+// The job queue is one FIFO of queued-but-not-started jobs
+// (Service.pending, guarded by Service.mu) served by every worker
+// goroutine: the oldest queued job starts on whichever worker frees up
+// first, and a cancelled job leaves the queue at once, so it holds no
+// backlog slot.
+
+// enqueueLocked appends j to the queue and wakes one idle worker. Callers
+// hold s.mu and have checked capacity where it applies.
+func (s *Service) enqueueLocked(j *job) {
+	s.pending = append(s.pending, j)
+	s.wake.Signal()
 }
 
-func newQueue(shards, depthPerShard int) *queue {
-	q := &queue{shards: make([]chan *job, shards)}
-	for i := range q.shards {
-		q.shards[i] = make(chan *job, depthPerShard)
+// dequeueLocked removes a queued job that will not run. Callers hold s.mu.
+func (s *Service) dequeueLocked(j *job) {
+	if i := slices.Index(s.pending, j); i >= 0 {
+		s.pending = slices.Delete(s.pending, i, i+1)
 	}
-	return q
 }
 
-// shardOf maps a job ID onto its serving shard.
-func (q *queue) shardOf(id string) int {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return int(h.Sum32() % uint32(len(q.shards)))
-}
-
-// push enqueues without blocking; a full shard sheds load.
-func (q *queue) push(j *job) error {
-	select {
-	case q.shards[q.shardOf(j.id)] <- j:
-		atomic.AddInt32(&q.depth, 1)
+// next blocks until a job is queued and pops the oldest one; it returns
+// nil once the service is draining.
+func (s *Service) next() *job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.pending) == 0 && !s.draining {
+		s.wake.Wait()
+	}
+	if s.draining {
 		return nil
-	default:
-		return ErrQueueFull
 	}
+	j := s.pending[0]
+	s.pending = s.pending[1:]
+	return j
 }
 
-// took is called by a worker when it dequeues a job.
-func (q *queue) took() { atomic.AddInt32(&q.depth, -1) }
-
-// Len reports the queued backlog across shards.
-func (q *queue) Len() int { return int(atomic.LoadInt32(&q.depth)) }
-
-// closeAll releases the workers; pending jobs stay readable until drained.
-func (q *queue) closeAll() {
-	for _, sh := range q.shards {
-		close(sh)
-	}
+// QueueLen reports the queued backlog (for /metrics and tests).
+func (s *Service) QueueLen() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.pending)
 }

@@ -16,10 +16,12 @@ import (
 
 // Config sizes the service.
 type Config struct {
-	// Workers is the number of queue shards / worker goroutines (jobs
-	// running concurrently). Default 2.
+	// Workers is the number of worker goroutines serving the job queue
+	// (jobs running concurrently). Default 2.
 	Workers int
-	// QueueDepth is the queued-job capacity per shard. Default 32.
+	// QueueDepth bounds the queued-but-not-started backlog: Submit answers
+	// ErrQueueFull beyond it. Default 64. A restart re-enqueues every
+	// unfinished job on disk, whatever the bound.
 	QueueDepth int
 	// StateDir persists job records and campaign checkpoints; "" runs
 	// in memory only (no resume across restarts).
@@ -51,7 +53,7 @@ func (c Config) withDefaults() Config {
 		c.Workers = 2
 	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 32
+		c.QueueDepth = 64
 	}
 	if c.CheckpointEveryRuns <= 0 {
 		c.CheckpointEveryRuns = 4096
@@ -94,7 +96,7 @@ type job struct {
 	nextSub int
 }
 
-// Service is the campaign server: a bounded sharded queue feeding a fixed
+// Service is the campaign server: a bounded FIFO job queue feeding a fixed
 // worker pool, with durable state when a StateDir is configured.
 type Service struct {
 	cfg     Config
@@ -114,7 +116,8 @@ type Service struct {
 	jobs     map[string]*job
 	order    []string
 	nextID   int
-	queue    *queue
+	pending  []*job     // the job queue, oldest first (see queue.go)
+	wake     *sync.Cond // on mu: a job was queued or drain began
 	store    *jobStore
 	draining bool
 
@@ -134,17 +137,6 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 
-	pending := 0
-	for _, rec := range recs {
-		if !rec.State.Terminal() {
-			pending++
-		}
-	}
-	depth := cfg.QueueDepth
-	if per := (pending + cfg.Workers - 1) / cfg.Workers; per > depth {
-		depth = per // a restart must always be able to re-enqueue its own backlog
-	}
-
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -155,9 +147,9 @@ func New(cfg Config) (*Service, error) {
 		baseCtx: ctx,
 		stop:    cancel,
 		jobs:    make(map[string]*job),
-		queue:   newQueue(cfg.Workers, depth),
 		store:   st,
 	}
+	s.wake = sync.NewCond(&s.mu)
 	if cfg.StateDir != "" {
 		rs, err := store.Open(filepath.Join(cfg.StateDir, "results.log"))
 		if err != nil {
@@ -171,12 +163,13 @@ func New(cfg Config) (*Service, error) {
 		s.dist = newCoordinator(cfg.Dist)
 		s.dist.results = s.results
 	}
-	s.Metrics = newMetrics(reg, s.queue, s.dist)
+	s.Metrics = newMetrics(reg, s.QueueLen, s.dist)
 	if s.dist != nil {
 		s.dist.metrics = s.Metrics
 		go s.dist.janitor(ctx.Done())
 	}
 
+	s.mu.Lock() // the queue gauge on reg may already be sampled
 	for _, rec := range recs {
 		j := &job{
 			id:         rec.ID,
@@ -194,20 +187,19 @@ func New(cfg Config) (*Service, error) {
 		}
 		if !j.state.Terminal() {
 			// Queued and interrupted-running jobs alike go back on
-			// the queue; campaigns pick up from their checkpoint.
+			// the queue, whatever its bound; campaigns pick up from
+			// their checkpoint.
 			j.state = StateQueued
-			if err := s.queue.push(j); err != nil {
-				cancel()
-				return nil, fmt.Errorf("service: re-enqueue %s: %w", j.id, err)
-			}
+			s.enqueueLocked(j)
 		}
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
 	}
+	s.mu.Unlock()
 
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
-		go s.worker(w)
+		go s.worker()
 	}
 	return s, nil
 }
@@ -233,6 +225,9 @@ func (s *Service) Submit(req JobRequest) (JobStatus, error) {
 	if s.draining {
 		return JobStatus{}, ErrDraining
 	}
+	if len(s.pending) >= s.cfg.QueueDepth {
+		return JobStatus{}, ErrQueueFull
+	}
 	j := &job{
 		id:        fmt.Sprintf("j%06d", s.nextID),
 		req:       req,
@@ -240,9 +235,7 @@ func (s *Service) Submit(req JobRequest) (JobStatus, error) {
 		submitted: time.Now().UTC(),
 		subs:      make(map[int]chan Event),
 	}
-	if err := s.queue.push(j); err != nil {
-		return JobStatus{}, err
-	}
+	s.enqueueLocked(j)
 	s.nextID++
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
@@ -286,6 +279,7 @@ func (s *Service) Cancel(id string) (JobStatus, error) {
 	switch j.state {
 	case StateQueued:
 		j.userCancel = true
+		s.dequeueLocked(j)
 		s.finishLocked(j, StateCanceled, nil, "")
 	case StateRunning:
 		j.userCancel = true
@@ -337,7 +331,7 @@ func (s *Service) Drain(ctx context.Context) error {
 		return nil
 	}
 	s.draining = true
-	s.queue.closeAll()
+	s.wake.Broadcast() // idle workers exit
 	s.mu.Unlock()
 	s.dist.setDraining() // workers learn via heartbeat/acquire responses
 	s.stop()             // interrupt running jobs at their next batch boundary
@@ -443,11 +437,10 @@ func (s *Service) finishLocked(j *job, state State, result *JobResult, errMsg st
 	}
 }
 
-// worker serves one queue shard until drain.
-func (s *Service) worker(w int) {
+// worker runs queued jobs, oldest first, until drain.
+func (s *Service) worker() {
 	defer s.wg.Done()
-	for j := range s.queue.shards[w] {
-		s.queue.took()
+	for j := s.next(); j != nil; j = s.next() {
 		s.runJob(j)
 	}
 }
@@ -456,8 +449,8 @@ func (s *Service) worker(w int) {
 func (s *Service) runJob(j *job) {
 	s.mu.Lock()
 	if j.state != StateQueued || s.draining {
-		// Canceled while queued, or the service is shutting down; a
-		// drained job stays queued on disk for the next process.
+		// Canceled between dequeue and start, or the service is shutting
+		// down; a drained job stays queued on disk for the next process.
 		s.mu.Unlock()
 		return
 	}
@@ -562,6 +555,3 @@ func (r *jobRun) commit(cp *Checkpoint, p *Progress) {
 	s.mu.Unlock()
 	_ = s.results.Sync()
 }
-
-// QueueLen reports the queued backlog (for /metrics and tests).
-func (s *Service) QueueLen() int { return s.queue.Len() }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -206,7 +207,7 @@ func TestCancelQueuedJob(t *testing.T) {
 
 func TestQueueShedsLoadWhenFull(t *testing.T) {
 	s := newTestService(t, Config{Workers: 1, QueueDepth: 1, CheckpointEveryRuns: 64})
-	// Occupy the worker, then fill the single-slot shard backlog.
+	// Occupy the worker, then fill the single-slot backlog.
 	busy, err := s.Submit(campaignRequest(1<<20, "prime"))
 	if err != nil {
 		t.Fatal(err)
@@ -230,6 +231,112 @@ func TestQueueShedsLoadWhenFull(t *testing.T) {
 	for _, id := range ids {
 		s.Cancel(id)
 	}
+}
+
+// A cancelled queued job leaves the queue at once: it holds no backlog slot,
+// so Submit accepts new work while the only worker is still busy.
+func TestCancelFreesQueueSlot(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1, QueueDepth: 2, CheckpointEveryRuns: 64})
+	busy, err := s.Submit(campaignRequest(1<<24, "prime"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Minute); s.QueueLen() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker never took the first job")
+		}
+	}
+	for i := 0; i < 2; i++ {
+		st, err := s.Submit(campaignRequest(64, "prime"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Cancel(st.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.QueueLen(); n != 0 {
+		t.Fatalf("queue holds %d cancelled jobs", n)
+	}
+	st, err := s.Submit(campaignRequest(64, "prime"))
+	if err != nil {
+		t.Fatalf("submit after cancelling the backlog: %v", err)
+	}
+	s.Cancel(st.ID)
+	s.Cancel(busy.ID)
+}
+
+// A restart re-enqueues every unfinished job on disk, whatever QueueDepth
+// says and however the backlog is spread: four jobs come back under a
+// two-job bound.
+func TestRestartReenqueuesWholeBacklog(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Workers: 2, QueueDepth: 8, StateDir: dir, CheckpointEveryRuns: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := s.Submit(campaignRequest(1<<24, "prime")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{"j000002", "j000004"} {
+		if _, err := s.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s = newTestService(t, Config{Workers: 2, QueueDepth: 2, StateDir: dir, CheckpointEveryRuns: 64})
+	var unfinished []string
+	for _, st := range s.List() {
+		if !st.State.Terminal() {
+			unfinished = append(unfinished, st.ID)
+		}
+	}
+	if want := []string{"j000000", "j000001", "j000003", "j000005"}; !slices.Equal(unfinished, want) {
+		t.Fatalf("unfinished after restart %v, want %v", unfinished, want)
+	}
+
+	// Each restored job is really served: the two workers start the
+	// oldest pair while the other two wait, and cancelling the running
+	// pair starts the rest.
+	waitRunning(t, s, "j000000", "j000001")
+	if n := s.QueueLen(); n != 2 {
+		t.Fatalf("queue holds %d jobs beside the running pair, want 2", n)
+	}
+	for _, id := range []string{"j000000", "j000001"} {
+		if _, err := s.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitRunning(t, s, "j000003", "j000005")
+	if n := s.QueueLen(); n != 0 {
+		t.Fatalf("queue holds %d jobs after the backlog started, want 0", n)
+	}
+	for _, id := range []string{"j000003", "j000005"} {
+		s.Cancel(id)
+	}
+}
+
+// waitRunning waits until exactly the given jobs are running.
+func waitRunning(t *testing.T, s *Service, ids ...string) {
+	t.Helper()
+	var running []string
+	for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		running = running[:0]
+		for _, st := range s.List() {
+			if st.State == StateRunning {
+				running = append(running, st.ID)
+			}
+		}
+		if slices.Equal(running, ids) {
+			return
+		}
+	}
+	t.Fatalf("running %v, want %v", running, ids)
 }
 
 func TestAreaAndLintJobs(t *testing.T) {

@@ -61,9 +61,6 @@ type (
 	Word4 = [4]uint64
 )
 
-// MaxLaneWords is the widest supported engine word.
-const MaxLaneWords = 4
-
 // ValidLaneWords reports whether w is a supported engine word width. The
 // engine-configuration layer validates against this before instantiating
 // an engine.

@@ -258,7 +258,7 @@ import "repro/internal/sim"
 
 func f(c *sim.Compiled) { _ = sim.NewEngine[sim.Word4](c) }
 `,
-		"cmd/sconetrace/bad.go": `package main
+		"cmd/sconectl/bad.go": `package main
 
 import (
 	"repro/internal/core"
@@ -310,7 +310,7 @@ func NewEngine[W any](c *Compiled) any { return nil }
 		t.Fatalf("got %d findings, want 2: %v", len(diags), diags)
 	}
 	for _, d := range diags {
-		if d.Pos.Filename != "internal/attack/bad.go" && d.Pos.Filename != "cmd/sconetrace/bad.go" {
+		if d.Pos.Filename != "internal/attack/bad.go" && d.Pos.Filename != "cmd/sconectl/bad.go" {
 			t.Errorf("finding in wrong file: %s", d.String())
 		}
 		if !strings.Contains(d.Message, "fault.EngineConfig") {

@@ -401,7 +401,7 @@ func Area(lib *CellLibrary, d *Design) AreaReport { return lib.Area(d.Mod) }
 // ---------------------------------------------------------------------------
 // Formal verification layer
 //
-// The BDD-based independence prover (internal/prove): where sconelint
+// The BDD-based independence prover (internal/prove): where the linter
 // proves the countermeasure's structural obligations and fault campaigns
 // sample its behavioural ones, Prove decides the three SIFA-independence
 // obligations exactly — by model counting over the randomness variables —
