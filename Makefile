@@ -118,21 +118,28 @@ e2e-leakage:
 		./internal/service/... ./internal/leakage/... ./internal/stats/... .
 
 # Static countermeasure audit (`sconectl lint`) on every cipher: the
-# synthesised three-in-one core must lint clean for every entropy variant,
-# and the unprotected baseline must be flagged — exit status 1 with an
-# error[lambda-cone] finding, so a build failure or a mistyped flag cannot
-# pass for a flagged core.
+# synthesised three-in-one and correcting cores must lint clean for every
+# entropy variant, and the weak schemes must be flagged by the rule that
+# encodes what they lack — the unprotected core by lambda-cone, the ACISP
+# core (one λ shared by both branches) by dual-branch. A flagged core must
+# exit 1 with an error[<rule>] finding, so a build failure or a mistyped
+# flag cannot pass for one.
 audit:
 	@for spec in present80 gift64 scone64; do \
-		for entropy in prime per-round per-sbox; do \
-			$(GO) run ./cmd/sconectl lint -summary -spec $$spec -scheme three-in-one -entropy $$entropy || exit 1; \
+		for scheme in three-in-one correct; do \
+			for entropy in prime per-round per-sbox; do \
+				$(GO) run ./cmd/sconectl lint -summary -spec $$spec -scheme $$scheme -entropy $$entropy || exit 1; \
+			done; \
 		done; \
-		out=$$($(GO) run ./cmd/sconectl lint -rules lambda-cone -spec $$spec -scheme unprotected 2>&1); rc=$$?; \
-		if [ $$rc -ne 1 ] || ! printf '%s\n' "$$out" | grep -q 'error\[lambda-cone\]'; then \
-			printf '%s\n' "$$out" >&2; \
-			echo "audit: the unprotected $$spec core was not flagged (exit $$rc)" >&2; exit 1; \
-		fi; \
-		echo "unprotected $$spec core correctly flagged"; \
+		for weak in unprotected:lambda-cone acisp:dual-branch; do \
+			scheme=$${weak%%:*}; rule=$${weak#*:}; \
+			out=$$($(GO) run ./cmd/sconectl lint -rules $$rule -spec $$spec -scheme $$scheme 2>&1); rc=$$?; \
+			if [ $$rc -ne 1 ] || ! printf '%s\n' "$$out" | grep -q "error\[$$rule\]"; then \
+				printf '%s\n' "$$out" >&2; \
+				echo "audit: the $$scheme $$spec core was not flagged by $$rule (exit $$rc)" >&2; exit 1; \
+			fi; \
+			echo "$$scheme $$spec core correctly flagged by $$rule"; \
+		done; \
 	done
 
 # Replay the checked-in fuzz seed corpora (no open-ended fuzzing).

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bdd"
 	"repro/internal/core"
 	"repro/internal/netlist"
+	"repro/internal/prove"
 )
 
 // Context is the read-only shared state one lint run's rules operate on.
@@ -24,11 +25,8 @@ type Context struct {
 	order    []int
 	orderErr error
 
-	// fanouts[n] lists the indices of cells reading net n.
-	fanouts [][]int32
-
-	pairs      []regPair
-	unpairedB1 []int // DFF cell indices with a b1. name but no b0. partner
+	pairs    []regPair
+	unpaired []int // DFF cell indices with a b1. or b2. name but no b0. partner
 
 	// proveOnce guards the shared prover run the three prove-backed rules
 	// read (see rules_prove.go); it is the one lazily-computed member of
@@ -36,40 +34,30 @@ type Context struct {
 	proveOnce sync.Once
 	proveRun  proveAnalysis
 
-	// varIdx maps each net to its BDD variable index. Source nets
-	// (primary inputs, DFF outputs, floating nets) are ordered by a
-	// depth-first first-touch walk of the output-port fanin cones, which
-	// places variables that interact in one output — in particular the
-	// paired b0./b1. register bits the fault comparator XORs — next to
-	// each other. Net-id order would separate the branches (all b0
-	// registers are allocated before any b1 register), making the
-	// comparator's BDD exponential in the block size.
+	// vars are the source nets in BDD variable order and varIdx maps each
+	// net to its variable (-1 for combinational nets): prove.VarOrder, the
+	// order the prover uses.
+	vars   []netlist.Net
 	varIdx []int
 }
 
 // regPair is a matched pair of branch registers: the DFF holding suffix S
-// under the actual-branch prefix and its redundant-branch counterpart.
+// under the actual-branch prefix and its counterpart in a redundant branch
+// (b1., or the correcting scheme's second redundant branch b2.).
 type regPair struct {
-	Suffix string // register name without the branch prefix, e.g. "state[3]"
-	CellA  int    // DFF cell index, actual branch
-	CellB  int    // DFF cell index, redundant branch
+	Suffix string      // register name without the branch prefix, e.g. "state[3]"
+	CellA  int         // DFF cell index, actual branch
+	CellB  int         // DFF cell index, redundant branch
+	Branch core.Branch // the redundant branch CellB belongs to
 }
 
 func newContext(m *netlist.Module) *Context {
 	c := &Context{M: m}
 	c.problems = m.StructuralProblems()
 	c.order, c.orderErr = m.Levelize()
+	c.vars, c.varIdx = prove.VarOrder(m)
 
-	c.fanouts = make([][]int32, m.NumNets()+1)
-	for ci := range m.Cells {
-		for _, in := range m.Cells[ci].Inputs() {
-			if in > 0 && int(in) <= m.NumNets() {
-				c.fanouts[in] = append(c.fanouts[in], int32(ci))
-			}
-		}
-	}
-
-	prefixA, prefixB := core.BranchPrefix(core.BranchActual), core.BranchPrefix(core.BranchRedundant)
+	prefixA := core.BranchPrefix(core.BranchActual)
 	byName := make(map[string]int)
 	for ci := range m.Cells {
 		cell := &m.Cells[ci]
@@ -80,72 +68,21 @@ func newContext(m *netlist.Module) *Context {
 			byName[strings.TrimPrefix(name, prefixA)] = ci
 		}
 	}
-	for ci := range m.Cells {
-		cell := &m.Cells[ci]
-		if cell.Kind != netlist.KindDFF {
-			continue
-		}
-		name := m.NetName(cell.Out)
-		if !strings.HasPrefix(name, prefixB) {
-			continue
-		}
-		suffix := strings.TrimPrefix(name, prefixB)
-		if a, ok := byName[suffix]; ok {
-			c.pairs = append(c.pairs, regPair{Suffix: suffix, CellA: a, CellB: ci})
-		} else {
-			c.unpairedB1 = append(c.unpairedB1, ci)
-		}
-	}
-	c.computeVarOrder()
-	return c
-}
-
-// computeVarOrder fills varIdx (see the field comment). Output ports are
-// walked in declaration order, then each DFF's next-state cone in cell
-// order, so every source net reachable from the observable logic gets an
-// index at its first touch; unreachable nets take the remaining indices.
-func (c *Context) computeVarOrder() {
-	m := c.M
-	c.varIdx = make([]int, m.NumNets()+1)
-	for n := range c.varIdx {
-		c.varIdx[n] = -1
-	}
-	seen := make([]bool, m.NumNets()+1)
-	next := 0
-	var visit func(n netlist.Net)
-	visit = func(n netlist.Net) {
-		if n <= 0 || int(n) > m.NumNets() || seen[n] {
-			return
-		}
-		seen[n] = true
-		if d := m.Driver(n); d >= 0 && !m.Cells[d].Kind.IsSequential() {
-			for _, in := range m.Cells[d].Inputs() {
-				visit(in)
+	for _, b := range []core.Branch{core.BranchRedundant, core.BranchRedundant2} {
+		for ci := range m.Cells {
+			cell := &m.Cells[ci]
+			suffix, ok := strings.CutPrefix(m.NetName(cell.Out), core.BranchPrefix(b))
+			if cell.Kind != netlist.KindDFF || !ok {
+				continue
 			}
-			return
-		}
-		c.varIdx[n] = next
-		next++
-	}
-	for i := range m.Outputs {
-		for _, n := range m.Outputs[i].Bits {
-			visit(n)
+			if a, ok := byName[suffix]; ok {
+				c.pairs = append(c.pairs, regPair{Suffix: suffix, CellA: a, CellB: ci, Branch: b})
+			} else {
+				c.unpaired = append(c.unpaired, ci)
+			}
 		}
 	}
-	for ci := range m.Cells {
-		if m.Cells[ci].Kind.IsSequential() {
-			visit(m.Cells[ci].In[0])
-		}
-	}
-	// Combinational nets never consult their variable (buildBDDs folds
-	// over them in topological order), but keep varIdx total and
-	// collision-free so unreachable or floating nets stay distinct.
-	for n := netlist.Net(1); int(n) <= m.NumNets(); n++ {
-		if c.varIdx[n] < 0 {
-			c.varIdx[n] = next
-			next++
-		}
-	}
+	return c
 }
 
 // Input returns the input port with the given name, or nil.
@@ -154,126 +91,28 @@ func (c *Context) Input(name string) *netlist.Port { return c.M.FindInput(name) 
 // Output returns the output port with the given name, or nil.
 func (c *Context) Output(name string) *netlist.Port { return c.M.FindOutput(name) }
 
-// FanoutCone returns per-cell membership of the transitive fanout cone of
-// the root nets. When crossDFF is set the cone propagates through flip-
-// flops (a DFF whose D is in the cone places its Q, and everything reading
-// it, in the cone as well).
-func (c *Context) FanoutCone(roots []netlist.Net, crossDFF bool) []bool {
-	inCone := make([]bool, len(c.M.Cells))
-	seenNet := make([]bool, c.M.NumNets()+1)
-	stack := make([]netlist.Net, 0, len(roots))
-	for _, n := range roots {
-		if n > 0 && int(n) <= c.M.NumNets() && !seenNet[n] {
-			seenNet[n] = true
-			stack = append(stack, n)
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ci := range c.fanouts[n] {
-			cell := &c.M.Cells[ci]
-			if !inCone[ci] {
-				inCone[ci] = true
-			}
-			if cell.Kind.IsSequential() && !crossDFF {
-				continue
-			}
-			if out := cell.Out; out > 0 && !seenNet[out] {
-				seenNet[out] = true
-				stack = append(stack, out)
-			}
-		}
-	}
-	return inCone
-}
-
-// FaninCone returns per-cell membership of the transitive fanin cone of
-// the root nets. When crossDFF is set the cone continues backwards through
-// flip-flops (from Q to the logic driving D).
-func (c *Context) FaninCone(roots []netlist.Net, crossDFF bool) []bool {
-	inCone := make([]bool, len(c.M.Cells))
-	var stack []int
-	push := func(n netlist.Net) {
-		if n <= 0 || int(n) > c.M.NumNets() {
-			return
-		}
-		if d := c.M.Driver(n); d >= 0 && !inCone[d] {
-			inCone[d] = true
-			stack = append(stack, d)
-		}
-	}
-	for _, n := range roots {
-		push(n)
-	}
-	for len(stack) > 0 {
-		ci := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		cell := &c.M.Cells[ci]
-		if cell.Kind.IsSequential() && !crossDFF {
-			continue
-		}
-		for _, in := range cell.Inputs() {
-			push(in)
-		}
-	}
-	return inCone
-}
-
 // bddBudget bounds the number of BDD nodes a single rule may allocate;
 // past it the rule gives up and marks itself skipped rather than stalling
 // the lint run.
 const bddBudget = 4 << 20
 
-// netVar returns the BDD variable assigned to a net under the context's
-// first-touch ordering (see varIdx).
+// netVar returns the BDD variable assigned to a source net under the
+// context's variable order (see vars).
 func (c *Context) netVar(mgr *bdd.Manager, n netlist.Net) bdd.Node {
 	return mgr.Var(c.varIdx[n])
 }
 
-// buildBDDs computes a BDD for every net of the module. Source nets —
-// primary inputs, DFF outputs, floating nets — evaluate to varOf(net);
-// combinational cells are folded in topological order. The context's order
-// must be valid. Budget enforcement lives in the manager: callers allocate
-// it with bdd.NewWithBudget(…, bddBudget) and run the fold under
-// bdd.Guarded, skipping the rule when the budget trips.
+// buildBDDs computes a BDD for every net of the module: source nets —
+// primary inputs, DFF outputs, floating nets — evaluate to varOf(net) and
+// prove.Fold folds the combinational cells in topological order. The
+// context's order must be valid. Budget enforcement lives in the manager:
+// callers allocate it with bdd.NewWithBudget(len(c.vars), bddBudget) and
+// run the fold under bdd.Guarded, skipping the rule when the budget trips.
 func (c *Context) buildBDDs(mgr *bdd.Manager, varOf func(n netlist.Net) bdd.Node) []bdd.Node {
-	m := c.M
-	vals := make([]bdd.Node, m.NumNets()+1)
-	for n := netlist.Net(1); int(n) <= m.NumNets(); n++ {
+	vals := make([]bdd.Node, c.M.NumNets()+1)
+	for _, n := range c.vars {
 		vals[n] = varOf(n)
 	}
-	for _, ci := range c.order {
-		cell := &m.Cells[ci]
-		in := cell.Inputs()
-		var v bdd.Node
-		switch cell.Kind {
-		case netlist.KindConst0:
-			v = bdd.False
-		case netlist.KindConst1:
-			v = bdd.True
-		case netlist.KindBuf:
-			v = vals[in[0]]
-		case netlist.KindInv:
-			v = mgr.Not(vals[in[0]])
-		case netlist.KindAnd2:
-			v = mgr.And(vals[in[0]], vals[in[1]])
-		case netlist.KindOr2:
-			v = mgr.Or(vals[in[0]], vals[in[1]])
-		case netlist.KindNand2:
-			v = mgr.Not(mgr.And(vals[in[0]], vals[in[1]]))
-		case netlist.KindNor2:
-			v = mgr.Not(mgr.Or(vals[in[0]], vals[in[1]]))
-		case netlist.KindXor2:
-			v = mgr.Xor(vals[in[0]], vals[in[1]])
-		case netlist.KindXnor2:
-			v = mgr.Xnor(vals[in[0]], vals[in[1]])
-		case netlist.KindMux2:
-			v = mgr.ITE(vals[in[2]], vals[in[1]], vals[in[0]])
-		default:
-			continue // DFFs keep their source variable
-		}
-		vals[cell.Out] = v
-	}
+	prove.Fold(mgr, c.M, c.order, nil, vals)
 	return vals
 }

@@ -79,7 +79,7 @@ func TestSeededViolations(t *testing.T) {
 
 // TestThreeInOneClean pins the central soundness statement: the paper's
 // three-in-one construction passes every rule, for all entropy variants
-// and for both ciphers.
+// and for both ciphers, and so does the correcting scheme built on it.
 func TestThreeInOneClean(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -90,6 +90,10 @@ func TestThreeInOneClean(t *testing.T) {
 		{"present-per-round", core.Options{Scheme: core.SchemeThreeInOne, Entropy: core.EntropyPerRound}, false},
 		{"present-per-sbox", core.Options{Scheme: core.SchemeThreeInOne, Entropy: core.EntropyPerSbox}, false},
 		{"gift-prime", core.Options{Scheme: core.SchemeThreeInOne, Entropy: core.EntropyPrime}, true},
+		{"present-correct-prime", core.Options{Scheme: core.SchemeCorrect, Entropy: core.EntropyPrime}, false},
+		{"present-correct-per-round", core.Options{Scheme: core.SchemeCorrect, Entropy: core.EntropyPerRound}, false},
+		{"present-correct-per-sbox", core.Options{Scheme: core.SchemeCorrect, Entropy: core.EntropyPerSbox}, false},
+		{"gift-correct-prime", core.Options{Scheme: core.SchemeCorrect, Entropy: core.EntropyPrime}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := present.Spec()
@@ -165,33 +169,81 @@ func TestWeakSchemesFlagged(t *testing.T) {
 	})
 }
 
-// TestGolden pins the verbose text report for the protected PRESENT-80
-// core so report format changes are deliberate.
-func TestGolden(t *testing.T) {
-	d := core.MustBuild(present.Spec(), core.Options{
-		Scheme: core.SchemeThreeInOne, Entropy: core.EntropyPrime,
-	})
-	rep, err := Run(d.Mod, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteText(&buf, true); err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "golden_present80_three_in_one_prime.txt")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
+// TestSecondRedundantBranchChecked pins that pairing the correcting
+// scheme's b2. registers does not exempt them: inverting one b2. register's
+// next-state breaks the register invariant of the b2. bits its S-box feeds
+// and the vote comparator's cancellation, and dual-branch reports both.
+func TestSecondRedundantBranchChecked(t *testing.T) {
+	d := core.MustBuild(present.Spec(), core.Options{Scheme: core.SchemeCorrect, Entropy: core.EntropyPrime})
+	m := d.Mod
+	reg := -1
+	for ci := range m.Cells {
+		if m.Cells[ci].Kind == netlist.KindDFF && m.NetName(m.Cells[ci].Out) == "b2.state[5]" {
+			reg = ci
 		}
 	}
-	want, err := os.ReadFile(golden)
+	if reg < 0 {
+		t.Fatal("no b2.state[5] register in the correcting core")
+	}
+	inv := m.Not(m.Cells[reg].In[0]) // may grow m.Cells: index it afterwards
+	m.Cells[reg].In[0] = inv
+	rep, err := Run(m, Options{Rules: []string{"dual-branch"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("report drifted from golden file (rerun with -update if intended):\ngot:\n%s\nwant:\n%s",
-			buf.String(), want)
+	var nextState, flag bool
+	for _, d := range rep.Diagnostics() {
+		nextState = nextState || strings.HasPrefix(d.NetName, "b2.") && strings.Contains(d.Message, "next-state")
+		flag = flag || strings.Contains(d.Message, "flag is not identically 0")
+	}
+	if !nextState || !flag {
+		var buf bytes.Buffer
+		rep.WriteText(&buf, false)
+		t.Fatalf("want next-state and flag findings for the mutated b2. register, got:\n%s", buf.String())
+	}
+}
+
+// TestGolden pins verbose text reports for PRESENT-80 cores so report
+// format changes are deliberate: the protected core's clean report, and
+// two flagged ones that pin which cells the shared cone walks and BDD
+// encoding name: the ACISP core (one dual-branch finding per state bit)
+// and the naive core (prover witnesses and the lambda-cone count, capped
+// by MaxPerRule to keep the file small).
+func TestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		scheme     core.Scheme
+		maxPerRule int
+		file       string
+	}{
+		{core.SchemeThreeInOne, 0, "golden_present80_three_in_one_prime.txt"},
+		{core.SchemeACISP, 0, "golden_present80_acisp_prime.txt"},
+		{core.SchemeNaiveDup, 3, "golden_present80_naive_max3.txt"},
+	} {
+		t.Run(core.SchemeWire(tc.scheme), func(t *testing.T) {
+			d := core.MustBuild(present.Spec(), core.Options{Scheme: tc.scheme, Entropy: core.EntropyPrime})
+			rep, err := Run(d.Mod, Options{MaxPerRule: tc.maxPerRule})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := rep.WriteText(&buf, true); err != nil {
+				t.Fatal(err)
+			}
+			golden := filepath.Join("testdata", tc.file)
+			if *update {
+				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("report drifted from golden file (rerun with -update if intended):\ngot:\n%s\nwant:\n%s",
+					buf.String(), want)
+			}
+		})
 	}
 }
 

@@ -33,7 +33,7 @@ func checkConstNets(c *Context, r *Reporter) {
 		r.Skip("combinational loop: see comb-loop")
 		return
 	}
-	mgr := bdd.NewWithBudget(c.M.NumNets(), bddBudget)
+	mgr := bdd.NewWithBudget(len(c.vars), bddBudget)
 	var vals []bdd.Node
 	if bdd.Guarded(func() {
 		vals = c.buildBDDs(mgr, func(n netlist.Net) bdd.Node { return c.netVar(mgr, n) })
@@ -61,19 +61,22 @@ func checkConstNets(c *Context, r *Reporter) {
 //     function of primary inputs alone; for each register pair the
 //     redundant load value must be either equal to the actual one (plain
 //     registers: key, counter) or its complement (λ-encoded registers:
-//     state, λ shadow). λ-dependent registers must load complements —
+//     state, λ shadow). λ-dependent b1. registers must load complements —
 //     loading equal values means both branches share one λ, the ACISP
-//     scheme identical-fault DFA bypasses.
+//     scheme identical-fault DFA bypasses. The correcting scheme's second
+//     redundant branch (b2.) runs on λ like the actual one; its pairs are
+//     derived and substituted the same way, so its vote comparator can
+//     cancel too.
 //  2. Step: assuming the correspondence on current register values
-//     (substituting q_b1 := ¬q_b0 or q_b0), each redundant next-state
-//     function must equal the (complemented) actual one, so the
-//     correspondence is an invariant.
+//     (substituting q_b1 := ¬q_b0 or q_b0, and likewise q_b2), each
+//     redundant next-state function must equal the (complemented) actual
+//     one, so the correspondence is an invariant.
 //  3. Under the same substitution the fault flag must be identically 0:
 //     the comparator cancels the dual encoding exactly, never false-alarms,
 //     and therefore any deviation it does report is a real fault.
 //
-// Register pairs are located via the b0./b1. net-name prefixes documented
-// in internal/core.
+// Register pairs are located via the b0./b1./b2. net-name prefixes
+// documented in internal/core.
 func checkDualBranch(c *Context, r *Reporter) {
 	m := c.M
 	lam := c.Input(core.PortLambda)
@@ -81,7 +84,7 @@ func checkDualBranch(c *Context, r *Reporter) {
 		r.Skip("module has no " + core.PortLambda + " input port")
 		return
 	}
-	for _, ci := range c.unpairedB1 {
+	for _, ci := range c.unpaired {
 		r.Errorf(ci, m.Cells[ci].Out, "redundant register %q has no actual-branch partner",
 			m.NetName(m.Cells[ci].Out))
 	}
@@ -104,7 +107,7 @@ func checkDualBranch(c *Context, r *Reporter) {
 		return
 	}
 
-	mgr := bdd.NewWithBudget(m.NumNets(), bddBudget)
+	mgr := bdd.NewWithBudget(len(c.vars), bddBudget)
 	if bdd.Guarded(func() { dualBranchProof(c, r, mgr, lam, load) }) != nil {
 		r.Skip("BDD node budget exceeded")
 	}
@@ -158,7 +161,7 @@ func dualBranchProof(c *Context, r *Reporter, mgr *bdd.Manager, lam, load *netli
 			derivationFailed = true
 			continue
 		}
-		if dependsOn(mgr, dA, lamVar) && !complemented {
+		if p.Branch == core.BranchRedundant && !complemented && dependsOn(mgr, dA, lamVar) {
 			r.Errorf(p.CellB, m.Cells[p.CellB].Out,
 				"λ-encoded register pair %q loads the same encoding in both branches: "+
 					"the redundant branch shares λ instead of using ¬λ, so identical "+

@@ -33,7 +33,8 @@ func checkLambdaCone(c *Context, r *Reporter) {
 		r.Skip("module has no " + core.PortPT + " input port (not a cipher core)")
 		return
 	}
-	ptCone := c.FanoutCone(pt.Bits, true)
+	fanout := c.M.Fanout()
+	ptCone := c.M.FanoutCone(fanout, pt.Bits, true)
 
 	lam := c.Input(core.PortLambda)
 	if lam == nil || lam.Width() == 0 {
@@ -47,7 +48,7 @@ func checkLambdaCone(c *Context, r *Reporter) {
 			"unrandomised values (no FTA protection)", core.PortLambda, n)
 		return
 	}
-	lamCone := c.FanoutCone(lam.Bits, true)
+	lamCone := c.M.FanoutCone(fanout, lam.Bits, true)
 	for ci := range c.M.Cells {
 		cell := &c.M.Cells[ci]
 		if !ptCone[ci] || lamCone[ci] || cell.Kind.IsSequential() {
@@ -65,7 +66,7 @@ func checkLambdaCone(c *Context, r *Reporter) {
 // there can corrupt the redundant result — or the actual one, under the
 // swapped-branch reading — without ever raising the flag.
 func checkDetectCoverage(c *Context, r *Reporter) {
-	if len(c.pairs) == 0 && len(c.unpairedB1) == 0 {
+	if len(c.pairs) == 0 && len(c.unpaired) == 0 {
 		r.Skip("module has no redundant-branch (" +
 			core.BranchPrefix(core.BranchRedundant) + "*) registers")
 		return
@@ -76,7 +77,7 @@ func checkDetectCoverage(c *Context, r *Reporter) {
 			"the duplicated computation is never compared", core.PortFault)
 		return
 	}
-	cone := c.FaninCone(fault.Bits, true)
+	cone := c.M.FaninCone(fault.Bits, true)
 	report := func(ci int) {
 		cell := &c.M.Cells[ci]
 		r.Errorf(ci, cell.Out, "redundant register %q is not in the fanin of the %q flag: "+
@@ -87,7 +88,7 @@ func checkDetectCoverage(c *Context, r *Reporter) {
 			report(p.CellB)
 		}
 	}
-	for _, ci := range c.unpairedB1 {
+	for _, ci := range c.unpaired {
 		if !cone[ci] {
 			report(ci)
 		}

@@ -87,7 +87,7 @@ func checkDeadGates(c *Context, r *Reporter) {
 		r.Skip("module has no output ports")
 		return
 	}
-	observed := c.FaninCone(roots, true)
+	observed := c.M.FaninCone(roots, true)
 	for ci := range c.M.Cells {
 		cell := &c.M.Cells[ci]
 		if observed[ci] || cell.Kind.IsConst() {

@@ -167,18 +167,18 @@ func TestLogicDepth(t *testing.T) {
 	}
 }
 
-func TestFanoutCounts(t *testing.T) {
+func TestFanout(t *testing.T) {
 	m := New("t")
 	in := m.AddInput("x", 1)
 	a := m.Not(in[0])
 	m.AddOutput("y", Bus{m.And(a, a)})
-	counts := m.FanoutCounts()
-	if counts[in[0]] != 1 || counts[a] != 2 {
-		t.Fatalf("fanout counts wrong: %v %v", counts[in[0]], counts[a])
+	fanout := m.Fanout()
+	if len(fanout[in[0]]) != 1 || len(fanout[a]) != 2 {
+		t.Fatalf("fanout wrong: %v %v", fanout[in[0]], fanout[a])
 	}
 }
 
-func TestTransitiveFanin(t *testing.T) {
+func TestFaninCone(t *testing.T) {
 	m := New("t")
 	in := m.AddInput("x", 3)
 	a := m.And(in[0], in[1])
@@ -186,9 +186,9 @@ func TestTransitiveFanin(t *testing.T) {
 	y := m.Buf(a)
 	m.AddOutput("y", Bus{y})
 	m.AddOutput("z", Bus{b})
-	cone := m.TransitiveFanin([]Net{y})
-	if len(cone) != 2 {
-		t.Fatalf("cone size = %d, want 2 (and+buf)", len(cone))
+	cone := m.FaninCone([]Net{y}, false)
+	if !cone[m.Driver(a)] || !cone[m.Driver(y)] {
+		t.Fatal("and+buf missing from the cone")
 	}
 	if cone[m.Driver(b)] {
 		t.Fatal("unrelated cell in cone")

@@ -81,44 +81,81 @@ func (m *Module) LogicDepth() (int, error) {
 	return max, nil
 }
 
-// FanoutCounts returns, for each net, how many cell inputs it feeds.
-// Output-port usage is not counted.
-func (m *Module) FanoutCounts() []int {
-	counts := make([]int, m.NumNets()+1)
-	for i := range m.Cells {
-		for _, in := range m.Cells[i].Inputs() {
-			counts[in]++
+// Fanout returns the module's fanout index: entry n lists, in cell order,
+// the cells reading net n. Build it once and pass it to every FanoutCone
+// query over the same module.
+func (m *Module) Fanout() [][]int32 {
+	fanout := make([][]int32, m.NumNets()+1)
+	for ci := range m.Cells {
+		for _, in := range m.Cells[ci].Inputs() {
+			if in > 0 && int(in) <= m.NumNets() {
+				fanout[in] = append(fanout[in], int32(ci))
+			}
 		}
 	}
-	return counts
+	return fanout
 }
 
-// TransitiveFanin returns the set of cell indices in the combinational and
-// sequential fan-in cone of the given nets (inclusive of DFFs encountered,
-// without crossing them backwards — a DFF terminates the cone like a
-// primary input does).
-func (m *Module) TransitiveFanin(roots []Net) map[int]bool {
-	seen := make(map[int]bool)
-	stack := make([]int, 0, len(roots))
+// FanoutCone returns per-cell membership of the transitive fanout cone of
+// the root nets: every cell reading a root or the output of a cell in the
+// cone. fanout is the module's Fanout index. A DFF reading the cone is in
+// it; when crossDFF is set the cone continues through its Q output (a
+// change on D appears on Q a cycle later), otherwise it stops there.
+func (m *Module) FanoutCone(fanout [][]int32, roots []Net, crossDFF bool) []bool {
+	inCone := make([]bool, len(m.Cells))
+	seen := make([]bool, m.NumNets()+1)
+	stack := make([]Net, 0, len(roots))
 	for _, n := range roots {
-		if d := m.Driver(n); d >= 0 && !seen[d] {
-			seen[d] = true
+		if n > 0 && int(n) <= m.NumNets() && !seen[n] {
+			seen[n] = true
+			stack = append(stack, n)
+		}
+	}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, ci := range fanout[n] {
+			c := &m.Cells[ci]
+			inCone[ci] = true
+			if c.Kind.IsSequential() && !crossDFF {
+				continue
+			}
+			if !seen[c.Out] {
+				seen[c.Out] = true
+				stack = append(stack, c.Out)
+			}
+		}
+	}
+	return inCone
+}
+
+// FaninCone returns per-cell membership of the transitive fanin cone of
+// the root nets: the drivers of the roots and, recursively, of every input
+// of a cell in the cone. A DFF driving the cone is in it; when crossDFF is
+// set the cone continues backwards through its D input, otherwise the DFF
+// terminates the cone like a primary input does.
+func (m *Module) FaninCone(roots []Net, crossDFF bool) []bool {
+	inCone := make([]bool, len(m.Cells))
+	var stack []int
+	push := func(n Net) {
+		if d := m.Driver(n); d >= 0 && !inCone[d] {
+			inCone[d] = true
 			stack = append(stack, d)
 		}
+	}
+	for _, n := range roots {
+		push(n)
 	}
 	for len(stack) > 0 {
 		ci := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		c := &m.Cells[ci]
-		if c.Kind.IsSequential() {
+		if c.Kind.IsSequential() && !crossDFF {
 			continue
 		}
 		for _, in := range c.Inputs() {
-			if d := m.Driver(in); d >= 0 && !seen[d] {
-				seen[d] = true
-				stack = append(stack, d)
-			}
+			push(in)
 		}
 	}
-	return seen
+	return inCone
 }

@@ -79,8 +79,9 @@ type Request struct {
 	// (all branches) — the standard way to keep C(n, k) small.
 	Sboxes []int
 	// Cone, when non-zero, keeps only sites inside the forward
-	// (observability) cone of that net: the tuples then model an adversary
-	// whose faults all interact with one chosen signal.
+	// (observability) cone of that net, crossing registers: the tuples
+	// then model an adversary whose faults all interact with one chosen
+	// signal. It must be one of the design's nets.
 	Cone netlist.Net
 	// MaxTuples, when positive, truncates enumeration after that many
 	// tuples; Plan.Truncated records that the cut happened.
@@ -111,12 +112,16 @@ func New(d *core.Design, req Request) (*Plan, error) {
 		sites = filterSites(sites, func(s Site) bool { return keep[s.Sbox] })
 	}
 	if req.Cone != 0 {
-		idx := fault.NewReachabilityIndex(d.Mod)
-		in := make(map[netlist.Net]bool)
-		for _, n := range idx.Cone(req.Cone) {
-			in[n] = true
+		m := d.Mod
+		if req.Cone < 1 || int(req.Cone) > m.NumNets() {
+			return nil, fmt.Errorf("plan: cone net %d is outside the nets 1..%d of module %q",
+				req.Cone, m.NumNets(), m.Name)
 		}
-		sites = filterSites(sites, func(s Site) bool { return in[s.Net] })
+		cone := m.FanoutCone(m.Fanout(), []netlist.Net{req.Cone}, true)
+		sites = filterSites(sites, func(s Site) bool {
+			drv := m.Driver(s.Net)
+			return s.Net == req.Cone || drv >= 0 && cone[drv]
+		})
 	}
 	if req.K < 1 {
 		return nil, fmt.Errorf("plan: tuple arity %d must be at least 1", req.K)

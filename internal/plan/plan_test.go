@@ -1,11 +1,13 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/cipher/present"
 	"repro/internal/core"
+	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/synth"
 )
@@ -133,6 +135,17 @@ func TestConeRestriction(t *testing.T) {
 	}
 	if len(p.Sites) > len(all) {
 		t.Fatalf("cone filter grew the site set: %d > %d", len(p.Sites), len(all))
+	}
+
+	// A cone net outside the module is a request error naming the net and
+	// the module's net range, not a panic.
+	nets := fmt.Sprintf("nets 1..%d", d.Mod.NumNets())
+	for _, cone := range []netlist.Net{1 << 30, netlist.Net(d.Mod.NumNets() + 1), -1} {
+		_, err := New(d, Request{K: 2, Cone: cone})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("cone net %d ", cone)) ||
+			!strings.Contains(err.Error(), nets) {
+			t.Errorf("Cone %d: err = %v, want one naming the net and %s", cone, err, nets)
+		}
 	}
 }
 

@@ -20,11 +20,11 @@ type Analyzer struct {
 	m      *netlist.Module
 	budget int
 
-	order   []int
-	fanouts [][]int32
-	varIdx  []int         // net -> BDD variable index (meaningful for source nets)
-	varNet  []netlist.Net // BDD variable index -> net
-	part    *bdd.Partition
+	order  []int
+	fanout [][]int32
+	varIdx []int         // net -> BDD variable index, -1 for combinational nets
+	varNet []netlist.Net // BDD variable index -> net
+	part   *bdd.Partition
 
 	loadNet  netlist.Net
 	flagBits []netlist.Net
@@ -33,7 +33,7 @@ type Analyzer struct {
 
 	// coneSet marks the cells of the flag output's combinational fanin
 	// cone — the only logic the cycle-after-injection pass rebuilds.
-	coneSet map[int]bool
+	coneSet []bool
 
 	// Base BDD state, built lazily and rebuilt after a budget overflow.
 	mgr     *bdd.Manager
@@ -54,17 +54,10 @@ func NewAnalyzer(m *netlist.Module, budget int) (*Analyzer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("prove: %w", err)
 	}
-	a := &Analyzer{m: m, budget: budget, order: order}
-
-	a.fanouts = make([][]int32, m.NumNets()+1)
+	a := &Analyzer{m: m, budget: budget, order: order, fanout: m.Fanout()}
 	for ci := range m.Cells {
 		if m.Cells[ci].Kind == netlist.KindDFF {
 			a.dffs = append(a.dffs, ci)
-		}
-		for _, in := range m.Cells[ci].Inputs() {
-			if in > 0 && int(in) <= m.NumNets() {
-				a.fanouts[in] = append(a.fanouts[in], int32(ci))
-			}
 		}
 	}
 
@@ -98,9 +91,9 @@ func NewAnalyzer(m *netlist.Module, budget int) (*Analyzer, error) {
 		}
 	}
 
-	a.computeVarOrder()
+	a.varNet, a.varIdx = VarOrder(m)
 	a.computePartition()
-	a.coneSet = m.TransitiveFanin(a.flagBits)
+	a.coneSet = m.FaninCone(a.flagBits, false)
 	return a, nil
 }
 
@@ -112,53 +105,6 @@ func (a *Analyzer) PeakNodes() int { return a.peak }
 
 // Locations returns the module's tagged fault points.
 func (a *Analyzer) Locations() []Location { return TaggedLocations(a.m) }
-
-// computeVarOrder assigns BDD variables to source nets (primary inputs,
-// DFF outputs, floating nets) by a depth-first first-touch walk of the
-// output cones — the same ordering the lint BDD rules use, which keeps the
-// comparator's paired b0./b1. register bits adjacent and its BDD linear
-// instead of exponential in the block width.
-func (a *Analyzer) computeVarOrder() {
-	m := a.m
-	a.varIdx = make([]int, m.NumNets()+1)
-	for n := range a.varIdx {
-		a.varIdx[n] = -1
-	}
-	seen := make([]bool, m.NumNets()+1)
-	var visit func(n netlist.Net)
-	visit = func(n netlist.Net) {
-		if n <= 0 || int(n) > m.NumNets() || seen[n] {
-			return
-		}
-		seen[n] = true
-		if d := m.Driver(n); d >= 0 && !m.Cells[d].Kind.IsSequential() {
-			for _, in := range m.Cells[d].Inputs() {
-				visit(in)
-			}
-			return
-		}
-		a.varIdx[n] = len(a.varNet)
-		a.varNet = append(a.varNet, n)
-	}
-	for i := range m.Outputs {
-		for _, n := range m.Outputs[i].Bits {
-			visit(n)
-		}
-	}
-	for _, ci := range a.dffs {
-		visit(m.Cells[ci].In[0])
-	}
-	for n := netlist.Net(1); int(n) <= m.NumNets(); n++ {
-		if seen[n] {
-			continue
-		}
-		if d := m.Driver(n); d >= 0 && !m.Cells[d].Kind.IsSequential() {
-			continue
-		}
-		a.varIdx[n] = len(a.varNet)
-		a.varNet = append(a.varNet, n)
-	}
-}
 
 // computePartition classifies every BDD variable by the input port its net
 // belongs to: key material ("key", "key_lo", "key_hi", ...) is ClassKey;
@@ -197,37 +143,6 @@ func (a *Analyzer) varName(v int) string {
 	return NetName(a.m, a.varNet[v])
 }
 
-// foldCell computes a cell's output BDD from the input values in vals.
-func foldCell(mgr *bdd.Manager, cell *netlist.Cell, vals []bdd.Node) (bdd.Node, bool) {
-	in := cell.Inputs()
-	switch cell.Kind {
-	case netlist.KindConst0:
-		return bdd.False, true
-	case netlist.KindConst1:
-		return bdd.True, true
-	case netlist.KindBuf:
-		return vals[in[0]], true
-	case netlist.KindInv:
-		return mgr.Not(vals[in[0]]), true
-	case netlist.KindAnd2:
-		return mgr.And(vals[in[0]], vals[in[1]]), true
-	case netlist.KindOr2:
-		return mgr.Or(vals[in[0]], vals[in[1]]), true
-	case netlist.KindNand2:
-		return mgr.Not(mgr.And(vals[in[0]], vals[in[1]])), true
-	case netlist.KindNor2:
-		return mgr.Not(mgr.Or(vals[in[0]], vals[in[1]])), true
-	case netlist.KindXor2:
-		return mgr.Xor(vals[in[0]], vals[in[1]]), true
-	case netlist.KindXnor2:
-		return mgr.Xnor(vals[in[0]], vals[in[1]]), true
-	case netlist.KindMux2:
-		return mgr.ITE(vals[in[2]], vals[in[1]], vals[in[0]]), true
-	default:
-		return bdd.False, false // DFFs keep their source value
-	}
-}
-
 // build folds every combinational cell in topological order over the given
 // source values (one per net; combinational nets are overwritten).
 func (a *Analyzer) build(srcOf func(n netlist.Net) bdd.Node) []bdd.Node {
@@ -239,11 +154,7 @@ func (a *Analyzer) build(srcOf func(n netlist.Net) bdd.Node) []bdd.Node {
 			vals[n] = srcOf(n)
 		}
 	}
-	for _, ci := range a.order {
-		if v, ok := foldCell(a.mgr, &m.Cells[ci], vals); ok {
-			vals[m.Cells[ci].Out] = v
-		}
-	}
+	Fold(a.mgr, m, a.order, nil, vals)
 	return vals
 }
 
@@ -387,15 +298,7 @@ func (a *Analyzer) proveAt(lr *LocationResult) {
 	// its combinational fanout cone.
 	valsF := append([]bdd.Node(nil), clean...)
 	valsF[L] = faultVal
-	inCone := a.fanoutCone(L)
-	for _, ci := range a.order {
-		if !inCone[ci] {
-			continue
-		}
-		if v, ok := foldCell(mgr, &m.Cells[ci], valsF); ok {
-			valsF[m.Cells[ci].Out] = v
-		}
-	}
+	Fold(mgr, m, a.order, m.FanoutCone(a.fanout, []netlist.Net{L}, false), valsF)
 
 	// U — the fault is ineffective: every stored and released bit is
 	// unchanged at the injection cycle. Untouched nets share the clean
@@ -448,40 +351,8 @@ func (a *Analyzer) nextCycleFlag(valsF []bdd.Node) []bdd.Node {
 	if a.loadNet != 0 {
 		vals2[a.loadNet] = bdd.False
 	}
-	for _, ci := range a.order {
-		if !a.coneSet[ci] {
-			continue
-		}
-		if v, ok := foldCell(mgr, &m.Cells[ci], vals2); ok {
-			vals2[m.Cells[ci].Out] = v
-		}
-	}
+	Fold(mgr, m, a.order, a.coneSet, vals2)
 	return vals2
-}
-
-// fanoutCone marks the cells in the combinational fanout cone of the net.
-func (a *Analyzer) fanoutCone(root netlist.Net) []bool {
-	m := a.m
-	inCone := make([]bool, len(m.Cells))
-	seen := make([]bool, m.NumNets()+1)
-	stack := []netlist.Net{root}
-	seen[root] = true
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ci := range a.fanouts[n] {
-			cell := &m.Cells[ci]
-			inCone[ci] = true
-			if cell.Kind.IsSequential() {
-				continue
-			}
-			if out := cell.Out; out > 0 && !seen[out] {
-				seen[out] = true
-				stack = append(stack, out)
-			}
-		}
-	}
-	return inCone
 }
 
 // checkResult translates a count's key-(in)dependence into a verdict,

@@ -270,33 +270,16 @@ func boolBit(v bool) uint8 {
 // outputs, crossing DFFs (a live DFF makes its D cone live). Keep cells are
 // unconditionally live.
 func liveCells(m *netlist.Module) []bool {
-	live := make([]bool, len(m.Cells))
-	var stack []int
-	push := func(n netlist.Net) {
-		if d := m.Driver(n); d >= 0 && !live[d] {
-			live[d] = true
-			stack = append(stack, d)
-		}
-	}
+	var roots []netlist.Net
 	for i := range m.Outputs {
-		for _, n := range m.Outputs[i].Bits {
-			push(n)
-		}
+		roots = append(roots, m.Outputs[i].Bits...)
 	}
 	for ci := range m.Cells {
-		if m.Cells[ci].Keep && !live[ci] {
-			live[ci] = true
-			stack = append(stack, ci)
+		if m.Cells[ci].Keep {
+			roots = append(roots, m.Cells[ci].Out)
 		}
 	}
-	for len(stack) > 0 {
-		ci := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, in := range m.Cells[ci].Inputs() {
-			push(in)
-		}
-	}
-	return live
+	return m.FaninCone(roots, true)
 }
 
 // rebuild performs one functional optimisation pass.
