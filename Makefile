@@ -69,10 +69,11 @@ e2e:
 # Distributed campaign fabric under the race detector: coordinator lease
 # table, the per-batch completion check (seed corpus), worker kill + lease
 # reassignment with bit-identical merged results, the /v1 worker protocol
-# round trip, and sconed's worker mode.
+# round trip, sconed's worker mode, and the design caches that concurrent
+# jobs and leases share.
 e2e-dist:
 	$(GO) test -race -count=1 \
-		-run 'TestCoordinator|FuzzCheckCompletion|TestE2EDistributed|TestDistEndpoints|TestSubmitRetr|TestDaemonWorker|TestWorkersLeasesAndTopFleet' \
+		-run 'TestCoordinator|FuzzCheckCompletion|TestE2EDistributed|TestDistEndpoints|TestSubmitRetr|TestDaemonWorker|TestWorkersLeasesAndTopFleet|TestDesignCache' \
 		./internal/service/... ./cmd/sconed/... ./cmd/sconectl/...
 
 # Content-addressed result store under the race detector: resubmitting an

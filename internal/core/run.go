@@ -54,8 +54,8 @@ type MaskSet struct {
 // sites use this instantiation.
 type Runner = EngineRunner[sim.Word1]
 
-// NewRunner compiles the design (through the process-wide compile cache)
-// and creates a simulator for it.
+// NewRunner compiles the design (through sim.CompileCached, which memoises
+// the program on the design's module) and creates a simulator for it.
 func NewRunner(d *Design) (*Runner, error) {
 	c, err := sim.CompileCached(d.Mod)
 	if err != nil {

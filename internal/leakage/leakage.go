@@ -106,9 +106,10 @@ type Evaluator struct {
 	masks        *core.MaskSet
 }
 
-// New builds an evaluator. The design is compiled through the
-// process-wide cache; faults are installed on the evaluator's private
-// runner, so concurrent evaluations do not interfere.
+// New builds an evaluator. The design is compiled through
+// sim.CompileCached, which memoises the program on the design's module;
+// faults are installed on the evaluator's private runner, so concurrent
+// evaluations of one design do not interfere.
 func New(cfg Config) (*Evaluator, error) {
 	if cfg.Design == nil {
 		return nil, fmt.Errorf("leakage: nil design")

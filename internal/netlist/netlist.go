@@ -11,6 +11,7 @@ package netlist
 
 import (
 	"fmt"
+	"sync/atomic"
 )
 
 // Net identifies a single-bit wire within one Module. The zero value is not
@@ -151,6 +152,30 @@ type Module struct {
 
 	Inputs  []Port
 	Outputs []Port
+
+	// compiled is the simulator's compiled form of the module, memoised
+	// by sim.CompileCached so that it is freed together with the module.
+	compiled atomic.Pointer[any]
+}
+
+// Compiled returns the compiled form memoised on the module by
+// SetCompiled, or nil before the first compilation.
+func (m *Module) Compiled() any {
+	if p := m.compiled.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// SetCompiled memoises c on the module unless a compiled form is already
+// set, and returns the one in effect: c, or the form an earlier call
+// stored first. A module must not be structurally modified once compiled;
+// annotation-only updates such as SetTag are safe.
+func (m *Module) SetCompiled(c any) any {
+	if m.compiled.CompareAndSwap(nil, &c) {
+		return c
+	}
+	return *m.compiled.Load()
 }
 
 // New creates an empty module with the given name.

@@ -2,11 +2,11 @@ package client
 
 // Worker is the pull side of the distributed campaign fabric: it joins a
 // coordinator, heartbeats, and executes batch-range leases through
-// fault.Campaign.ExecuteBatchesFunc. Because every batch derives its
-// randomness from (seed, batch), a worker is stateless and expendable — a
-// killed worker's lease simply expires and another worker recomputes the
-// identical counts, so the coordinator's merged result never depends on
-// which process ran what.
+// fault.Campaign.ExecuteBatchesFunc over designs from its own design cache.
+// Because every batch derives its randomness from (seed, batch), a worker
+// is stateless and expendable — a killed worker's lease simply expires and
+// another worker recomputes the identical counts, so the coordinator's
+// merged result never depends on which process ran what.
 
 import (
 	"context"
@@ -39,6 +39,9 @@ type WorkerConfig struct {
 type Worker struct {
 	cfg    WorkerConfig
 	client *Client
+	// designs builds each lease's design once: a job's leases all share
+	// its design spec.
+	designs *service.DesignCache
 
 	abrupt atomic.Bool        // Kill() vs graceful context cancellation
 	kill   context.CancelFunc // set once Run starts
@@ -53,10 +56,11 @@ type Worker struct {
 // NewWorker returns an unstarted worker; Run drives it.
 func NewWorker(cfg WorkerConfig) *Worker {
 	return &Worker{
-		cfg:    cfg,
-		client: New(cfg.Coordinator),
-		leases: make(map[string]int),
-		abort:  make(map[string]context.CancelFunc),
+		cfg:     cfg,
+		client:  New(cfg.Coordinator),
+		designs: service.NewDesignCache(),
+		leases:  make(map[string]int),
+		abort:   make(map[string]context.CancelFunc),
 	}
 }
 
@@ -251,7 +255,7 @@ func (w *Worker) execute(ctx context.Context, grant service.LeaseGrant) {
 	fail := func(ctx context.Context, cause string) {
 		_ = w.client.FailLease(ctx, grant.LeaseID, service.LeaseReport{WorkerID: id, Error: cause})
 	}
-	camp, err := service.BuildCampaign(grant.Design, &grant.Campaign, service.EngineDefaults{Workers: w.cfg.SimWorkers})
+	camp, err := w.designs.Campaign(grant.Design, &grant.Campaign, service.EngineDefaults{Workers: w.cfg.SimWorkers})
 	if err != nil {
 		fail(ctx, err.Error())
 		return

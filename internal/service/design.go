@@ -61,17 +61,28 @@ func ParseDesign(ds DesignSpec) (*spn.Spec, core.Options, error) {
 	return spec, opts, nil
 }
 
-// BuildDesign synthesises the core a job addresses. Compilation of the
-// resulting netlist goes through sim.CompileCached downstream, so repeated
-// jobs against the same spec share one compiled program.
+// BuildDesign synthesises a private copy of the core a job addresses. Jobs
+// that only read their design take it from the service's DesignCache
+// instead; the attack kinds build here because the FTA attack rewires its
+// netlist in place.
 func BuildDesign(ds DesignSpec) (*core.Design, error) {
-	if ds.Netlist != "" {
-		return nil, fmt.Errorf("this job kind needs a synthesised design, not an inline netlist")
-	}
-	spec, opts, err := ParseDesign(ds)
+	spec, opts, err := synthesisInputs(ds)
 	if err != nil {
 		return nil, err
 	}
+	return buildCore(spec, opts)
+}
+
+// synthesisInputs is ParseDesign for the kinds that need a synthesised
+// core rather than an inline netlist.
+func synthesisInputs(ds DesignSpec) (*spn.Spec, core.Options, error) {
+	if ds.Netlist != "" {
+		return nil, core.Options{}, fmt.Errorf("this job kind needs a synthesised design, not an inline netlist")
+	}
+	return ParseDesign(ds)
+}
+
+func buildCore(spec *spn.Spec, opts core.Options) (*core.Design, error) {
 	d, err := core.Build(spec, opts)
 	if err != nil {
 		return nil, fmt.Errorf("build: %w", err)
@@ -124,8 +135,9 @@ func parseModel(s string) (fault.Model, error) {
 }
 
 // resolveFaults maps wire fault specs onto concrete nets of the built
-// design. Branch addressing on an unduplicated design, or out-of-range
-// S-box coordinates, fail the job here with a descriptive error.
+// design. Branch addressing the design lacks, or out-of-range S-box
+// coordinates or cycles, fail here with a descriptive error — at
+// submission, since Submit resolves every request against its design.
 func resolveFaults(d *core.Design, specs []FaultSpec) ([]fault.Fault, error) {
 	faults := make([]fault.Fault, 0, len(specs))
 	for i, fs := range specs {
@@ -156,16 +168,11 @@ func resolveFaults(d *core.Design, specs []FaultSpec) ([]fault.Fault, error) {
 	return faults, nil
 }
 
-// buildLeakage synthesises the design and assembles the evaluator for a
-// validated leakage request.
-func buildLeakage(req JobRequest) (*leakage.Evaluator, error) {
-	ls := req.Leakage
+// buildLeakage assembles the evaluator for a validated leakage request
+// against its built design.
+func buildLeakage(d *core.Design, ls *LeakageSpec) (*leakage.Evaluator, error) {
 	if ls == nil {
 		return nil, fmt.Errorf("leakage job needs a leakage spec")
-	}
-	d, err := BuildDesign(req.Design)
-	if err != nil {
-		return nil, err
 	}
 	model, ok := power.ParseModel(ls.Model)
 	if !ok {
@@ -195,9 +202,10 @@ type EngineDefaults struct {
 	Workers int
 }
 
-// BuildCampaign synthesises the design and assembles the engine campaign
-// for a validated campaign request. Coordinator and workers both build
-// through here, so a lease grant's (Design, Campaign) pair reconstructs the
+// BuildCampaign synthesises a fresh design and assembles the engine
+// campaign for a validated campaign request. DesignCache.Campaign is the
+// same assembly over a cached design, which is how the service and its
+// workers build: a lease grant's (Design, Campaign) pair reconstructs the
 // exact campaign the submitting client described — the determinism
 // contract's precondition.
 func BuildCampaign(ds DesignSpec, cs *CampaignSpec, def EngineDefaults) (*fault.Campaign, error) {

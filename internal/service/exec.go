@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -34,16 +33,20 @@ type campaignTask struct {
 	useStore bool
 }
 
-// newCampaignTask builds the engine campaign for cs against the already
-// built design d (synthesised from ds) and resolves its store address.
-func (s *Service) newCampaignTask(id string, ds DesignSpec, d *core.Design, cs *CampaignSpec) (*campaignTask, error) {
-	camp, err := buildCampaign(d, cs, s.cfg.engineDefaults())
+// newCampaignTask builds the engine campaign for cs against the cached
+// design e (built from ds) and, when the service has a result store,
+// resolves its store address.
+func (s *Service) newCampaignTask(id string, ds DesignSpec, e *designEntry, cs *CampaignSpec) (*campaignTask, error) {
+	camp, err := buildCampaign(e.d, cs, s.cfg.engineDefaults())
 	if err != nil {
 		return nil, err
 	}
 	t := &campaignTask{id: id, req: JobRequest{Kind: KindCampaign, Design: ds, Campaign: cs}, camp: camp}
-	if addr, err := campaignAddress(camp); err == nil && s.results != nil {
-		t.addr, t.digest, t.useStore = addr, addr.Digest(), true
+	if s.results != nil {
+		if netlistDigest, err := e.digest(); err == nil {
+			t.addr = campaignAddress(netlistDigest, camp)
+			t.digest, t.useStore = t.addr.Digest(), true
+		}
 	}
 	return t, nil
 }

@@ -248,8 +248,9 @@ type JobRequest struct {
 	Leakage    *LeakageSpec    `json:"leakage,omitempty"`
 }
 
-// Validate rejects malformed requests before they reach the queue, so a
-// submission error is always a synchronous 400 rather than a failed job.
+// Validate rejects malformed requests before they reach the queue; Submit
+// then checks what the request addresses against its built design, so a
+// submission error is a synchronous 400 rather than a failed job.
 func (r *JobRequest) Validate() error {
 	switch r.Kind {
 	case KindCampaign:
@@ -374,7 +375,7 @@ func (r *JobRequest) Validate() error {
 }
 
 // validateFaults checks the wire vocabulary and coordinate signs of a fault
-// list; ranges against the design are checked when the job builds it.
+// list; Submit checks ranges against the built design (resolveFaults).
 func validateFaults(specs []FaultSpec) error {
 	for i, f := range specs {
 		if _, err := parseBranch(f.Branch); err != nil {

@@ -24,11 +24,11 @@ import (
 // replay/simulation split) is kept alongside.
 func (r *jobRun) campaign(ctx context.Context) (*JobResult, error) {
 	req := r.j.req
-	d, err := BuildDesign(req.Design)
+	e, err := r.s.designs.get(req.Design)
 	if err != nil {
 		return nil, err
 	}
-	t, err := r.s.newCampaignTask(r.j.id, req.Design, d, req.Campaign)
+	t, err := r.s.newCampaignTask(r.j.id, req.Design, e, req.Campaign)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +115,11 @@ func (r *jobRun) prove(ctx context.Context) (*JobResult, error) {
 // resumes the evaluation bit-identically — the resumed job simulates
 // exactly the remaining batches.
 func (r *jobRun) leakage(ctx context.Context) (*JobResult, error) {
-	ev, err := buildLeakage(r.j.req)
+	e, err := r.s.designs.get(r.j.req.Design)
+	if err != nil {
+		return nil, err
+	}
+	ev, err := buildLeakage(e.d, r.j.req.Leakage)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +145,8 @@ func (r *jobRun) leakage(ctx context.Context) (*JobResult, error) {
 
 // runAttack executes the attack kinds. The drivers are not incrementally
 // interruptible (they are short relative to campaigns), so cancellation is
-// honoured at the boundaries.
+// honoured at the boundaries. Each attack builds a private design: the FTA
+// attack rewires its netlist in place, so it must not touch a cached one.
 func runAttack(ctx context.Context, req JobRequest) (*JobResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -37,18 +37,18 @@ type placementExec func(id string, cs *CampaignSpec) (CampaignResult, error)
 // and its finished batches splice back in from the store.
 func (r *jobRun) multiFault(ctx context.Context) (*JobResult, error) {
 	req := r.j.req
-	d, err := BuildDesign(req.Design)
+	e, err := r.s.designs.get(req.Design)
 	if err != nil {
 		return nil, err
 	}
 	exec := placementExec(func(id string, cs *CampaignSpec) (CampaignResult, error) {
-		t, err := r.s.newCampaignTask(r.j.id+"/"+id, req.Design, d, cs)
+		t, err := r.s.newCampaignTask(r.j.id+"/"+id, req.Design, e, cs)
 		if err != nil {
 			return CampaignResult{}, err
 		}
 		return r.s.execute(ctx, t, 0, CampaignResult{}, nil)
 	})
-	res, placements, err := planMultiFault(d, req.MultiFault, exec)
+	res, placements, err := planMultiFault(e.d, req.MultiFault, exec)
 	if err != nil {
 		return nil, err
 	}
@@ -169,6 +169,34 @@ func planMultiFault(d *core.Design, m *MultiFaultSpec, exec placementExec) (*Mul
 		placements[i] = pl
 	}
 	return res, placements, nil
+}
+
+// checkMultiFault checks a validated sweep against the design it runs on:
+// the S-box filter (table rows in persistent mode), the cone location and
+// the tuples' cycle. An arity above the candidate-site count needs the plan
+// itself, so it stays a job failure.
+func checkMultiFault(d *core.Design, m *MultiFaultSpec) error {
+	n, unit := d.Spec.NumSboxes(), "S-boxes"
+	if m.Mode == "persistent" {
+		n, unit = 1<<d.Spec.SboxBits, "S-box table rows"
+	}
+	for i, sb := range m.Sboxes {
+		if sb >= n {
+			return fmt.Errorf("sbox filter %d: %d outside the %d %s of %s", i, sb, n, unit, d.Spec.Name)
+		}
+	}
+	if m.Mode == "persistent" {
+		return nil
+	}
+	if m.Cone != nil {
+		if _, err := resolveFaults(d, []FaultSpec{*m.Cone}); err != nil {
+			return fmt.Errorf("cone: %w", err)
+		}
+	}
+	if c := m.Cycle; c != nil && (*c < 0 || *c > d.LastRoundCycle()) {
+		return fmt.Errorf("multifault cycle %d outside 0..%d", *c, d.LastRoundCycle())
+	}
+	return nil
 }
 
 // siteFault maps a planned site back onto the wire fault vocabulary, so a

@@ -12,7 +12,6 @@ package service
 // splice into live executions.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -33,18 +32,15 @@ func isCanceled(err error) bool {
 // exported from the store so client code needs only the service wire types.
 type RunRecord = store.RunRecord
 
-// campaignAddress computes the content address of a built campaign. It
-// hashes the design's canonical text serialisation — the same bytes a
-// netlist round-trip preserves — and copies the resolved fault points field
-// for field, so two submissions address equal keys exactly when the engine
-// would simulate identical batches.
-func campaignAddress(camp *fault.Campaign) (store.CampaignKey, error) {
-	var buf bytes.Buffer
-	if err := camp.Design.Mod.WriteText(&buf); err != nil {
-		return store.CampaignKey{}, fmt.Errorf("service: digest netlist: %w", err)
-	}
+// campaignAddress computes the content address of a built campaign.
+// netlistDigest hashes its design's canonical text serialisation — the same
+// bytes a netlist round-trip preserves — and the design cache computes it
+// once per design; the resolved fault points are copied field for field,
+// so two submissions address equal keys exactly when the engine would
+// simulate identical batches.
+func campaignAddress(netlistDigest store.Digest, camp *fault.Campaign) store.CampaignKey {
 	k := store.CampaignKey{
-		Netlist: store.HashBytes(buf.Bytes()),
+		Netlist: netlistDigest,
 		Engine:  camp.EngineID(),
 		Key:     [2]uint64{camp.Key[0], camp.Key[1]},
 		Seed:    camp.Seed,
@@ -62,7 +58,7 @@ func campaignAddress(camp *fault.Campaign) (store.CampaignKey, error) {
 	if p := camp.Persistent; p != nil {
 		k.Persistent = &store.PersistentPoint{Entry: uint32(p.Entry), Mask: p.Mask}
 	}
-	return k, nil
+	return k
 }
 
 // storeCounts converts a wire tally to the store's batch record form.
@@ -115,9 +111,10 @@ type ResultsView struct {
 }
 
 // Results answers a campaign query purely from the store: req is the
-// campaign request a submission would carry, and the design is synthesised
-// (to compute the content address) but not a single run is simulated. A
-// service without a result store answers honestly with zero cached batches.
+// campaign request a submission would carry, and the design comes from the
+// design cache (to compute the content address) but not a single run is
+// simulated. A service without a result store answers honestly with zero
+// cached batches.
 func (s *Service) Results(req JobRequest) (ResultsView, error) {
 	if req.Kind != KindCampaign {
 		return ResultsView{}, fmt.Errorf("results query needs a campaign request, got kind %q", req.Kind)
@@ -125,14 +122,19 @@ func (s *Service) Results(req JobRequest) (ResultsView, error) {
 	if err := req.Validate(); err != nil {
 		return ResultsView{}, fmt.Errorf("invalid request: %w", err)
 	}
-	camp, err := BuildCampaign(req.Design, req.Campaign, s.cfg.engineDefaults())
+	e, err := s.designs.get(req.Design)
 	if err != nil {
 		return ResultsView{}, err
 	}
-	addr, err := campaignAddress(camp)
+	camp, err := buildCampaign(e.d, req.Campaign, s.cfg.engineDefaults())
+	if err != nil {
+		return ResultsView{}, fmt.Errorf("invalid request: %w", err)
+	}
+	netlistDigest, err := e.digest()
 	if err != nil {
 		return ResultsView{}, err
 	}
+	addr := campaignAddress(netlistDigest, camp)
 	digest := addr.Digest()
 	view := ResultsView{
 		CampaignDigest: digest.String(),

@@ -102,6 +102,7 @@ type Service struct {
 	cfg     Config
 	Metrics *Metrics
 	dist    *coordinator // nil unless Config.Dist.Enabled
+	designs *DesignCache
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -148,6 +149,7 @@ func New(cfg Config) (*Service, error) {
 		stop:    cancel,
 		jobs:    make(map[string]*job),
 		store:   st,
+		designs: NewDesignCache(),
 	}
 	s.wake = sync.NewCond(&s.mu)
 	if cfg.StateDir != "" {
@@ -220,6 +222,9 @@ func (s *Service) Submit(req JobRequest) (JobStatus, error) {
 	if err := req.Validate(); err != nil {
 		return JobStatus{}, fmt.Errorf("invalid request: %w", err)
 	}
+	if err := s.checkDesign(req); err != nil {
+		return JobStatus{}, fmt.Errorf("invalid request: %w", err)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -242,6 +247,30 @@ func (s *Service) Submit(req JobRequest) (JobStatus, error) {
 	s.Metrics.JobsSubmitted.Inc()
 	s.persistLocked(j)
 	return s.statusLocked(j), nil
+}
+
+// checkDesign is Validate's second half for the kinds that run on a cached
+// design: it resolves what the request addresses on that design — fault
+// coordinates, branches and cycles, a persistent corruption, a sweep's
+// S-box filter and cone — so a request no job could run is rejected before
+// a job ID is minted. The job that follows reuses the cached design.
+func (s *Service) checkDesign(req JobRequest) error {
+	if req.Kind != KindCampaign && req.Kind != KindMultiFault && req.Kind != KindLeakage {
+		return nil
+	}
+	e, err := s.designs.get(req.Design)
+	if err != nil {
+		return err
+	}
+	switch req.Kind {
+	case KindCampaign:
+		_, err = buildCampaign(e.d, req.Campaign, EngineDefaults{})
+	case KindMultiFault:
+		err = checkMultiFault(e.d, req.MultiFault)
+	case KindLeakage:
+		_, err = resolveFaults(e.d, req.Leakage.Faults)
+	}
+	return err
 }
 
 // Get returns a job's status.

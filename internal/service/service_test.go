@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
@@ -132,6 +134,73 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 }
 
 func intp(v int) *int { return &v }
+
+// TestSubmitRejectsWhatTheDesignCannotRun submits requests that pass
+// Validate but address something the default PRESENT-80 core lacks: each
+// must be a synchronous 400 invalid_request that leaves no job record.
+func TestSubmitRejectsWhatTheDesignCannotRun(t *testing.T) {
+	campaign := func(f FaultSpec) JobRequest {
+		return JobRequest{Kind: KindCampaign, Campaign: &CampaignSpec{Runs: 64, Key: testKey, Faults: []FaultSpec{f}}}
+	}
+	persistent := func(entry int, mask U64) JobRequest {
+		return JobRequest{Kind: KindCampaign, Campaign: &CampaignSpec{Runs: 64, Key: testKey, Persistent: &PersistentSpec{Entry: entry, Mask: mask}}}
+	}
+	sweep := func(m MultiFaultSpec) JobRequest {
+		m.RunsPerTuple = 64
+		return JobRequest{Kind: KindMultiFault, MultiFault: &m}
+	}
+	unprotected := campaign(FaultSpec{Branch: "redundant"})
+	unprotected.Design.Scheme = "unprotected"
+	cases := []struct {
+		name string
+		req  JobRequest
+	}{
+		{"fault S-box 16", campaign(FaultSpec{Sbox: 16})},
+		{"fault bit 4", campaign(FaultSpec{Bit: 4})},
+		{"cycle 999", campaign(FaultSpec{Cycle: intp(999)})},
+		{"cycle -1", campaign(FaultSpec{Cycle: intp(-1)})},
+		{"persistent entry 16", persistent(16, 1)},
+		{"persistent mask 0x10", persistent(0, 0x10)},
+		{"redundant2 on three-in-one", campaign(FaultSpec{Branch: "redundant2"})},
+		{"redundant on unprotected", unprotected},
+		{"kfault sboxes [99]", sweep(MultiFaultSpec{Sboxes: []int{99}})},
+		{"persistent sboxes [99]", sweep(MultiFaultSpec{Mode: "persistent", Sboxes: []int{99}})},
+		{"cone S-box 99", sweep(MultiFaultSpec{Cone: &FaultSpec{Sbox: 99}})},
+	}
+	s := newTestService(t, Config{Workers: 1})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	post := func(req JobRequest) (int, ErrorBody) {
+		t.Helper()
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env errorEnvelope
+		_ = json.NewDecoder(resp.Body).Decode(&env)
+		return resp.StatusCode, env.Error
+	}
+	for _, tc := range cases {
+		if err := tc.req.Validate(); err != nil {
+			t.Fatalf("%s: Validate alone rejects it (%v); the case tests nothing", tc.name, err)
+		}
+		code, body := post(tc.req)
+		if code != http.StatusBadRequest || body.Code != CodeInvalidRequest {
+			t.Errorf("%s: HTTP %d %+v, want 400 %s", tc.name, code, body, CodeInvalidRequest)
+		}
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Fatalf("rejected submissions left %d job records", len(jobs))
+	}
+	if code, body := post(campaign(FaultSpec{Sbox: 15, Bit: 3, Cycle: intp(0)})); code != http.StatusAccepted {
+		t.Fatalf("a valid campaign: HTTP %d %+v", code, body)
+	}
+}
 
 // The service's campaign result must be bit-identical to a direct
 // library-level Campaign.Execute with the same parameters.

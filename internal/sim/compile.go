@@ -2,7 +2,6 @@ package sim
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/netlist"
 )
@@ -272,26 +271,20 @@ func evalRange[W Word](p *program, v []W, lo, hi int) {
 // excluded). Benchmarks use it to report gate-lane throughput.
 func (c *Compiled) NumInstructions() int { return len(c.prog.rOut) }
 
-// compileCache memoises Compile results process-wide, keyed by module
-// pointer identity. Campaigns, the experiments package and the command-line
-// tools all funnel the same built designs through Compile; the cache makes
-// re-levelizing and re-lowering them free. Modules must not be structurally
-// modified after their first compilation (annotation-only updates such as
-// SetTag are safe).
-var compileCache sync.Map // *netlist.Module -> *Compiled
-
-// CompileCached is Compile with process-wide memoisation on the module
-// pointer. Errors are not cached.
+// CompileCached is Compile memoised on the module: the first call lowers m
+// and stores the program on it, later calls return that program, and the
+// program is freed together with its module. Errors are not cached.
+// Modules must not be structurally modified after their first compilation
+// (annotation-only updates such as SetTag are safe).
 func CompileCached(m *netlist.Module) (*Compiled, error) {
-	if c, ok := compileCache.Load(m); ok {
+	if c, ok := m.Compiled().(*Compiled); ok {
 		countCacheHit()
-		return c.(*Compiled), nil
+		return c, nil
 	}
 	countCacheMiss()
 	c, err := Compile(m)
 	if err != nil {
 		return nil, err
 	}
-	actual, _ := compileCache.LoadOrStore(m, c)
-	return actual.(*Compiled), nil
+	return m.SetCompiled(c).(*Compiled), nil
 }

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/netlist"
 )
@@ -309,4 +311,38 @@ func instrOp(p *program, i int) uint8 {
 
 func arityOf(p *program, i int) int {
 	return netlist.CellKind(instrOp(p, i)).Arity()
+}
+
+// TestCompileCachedFreesProgramWithModule pins that CompileCached memoises
+// on the module, not in a process-wide table: a second call on the same
+// module returns the same program, and once the module is dropped its
+// program is collected.
+func TestCompileCachedFreesProgramWithModule(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		m := randomModule(t, 7, 400, true)
+		c, err := CompileCached(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := CompileCached(m); err != nil || again != c {
+			t.Fatalf("second CompileCached = %p, %v; want the memoised %p", again, err, c)
+		}
+		if other, err := CompileCached(randomModule(t, 7, 400, true)); err != nil || other == c {
+			t.Fatalf("an equal but distinct module shared the program (%v)", err)
+		}
+		// The finalizer goes on the program, not the module: the module
+		// and its Compiled reference each other, and the collector never
+		// frees a cycle that carries a finalizer.
+		runtime.SetFinalizer(c.prog, func(*program) { close(freed) })
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a program compiled through CompileCached outlived its module")
 }

@@ -33,8 +33,8 @@ func EnableObservability(reg *obs.Registry) {
 		return
 	}
 	met.Store(&metrics{
-		cacheHits:   reg.NewCounter("scone_sim_compile_cache_hits_total", "CompileCached requests served from the process-wide cache"),
-		cacheMisses: reg.NewCounter("scone_sim_compile_cache_misses_total", "CompileCached requests that triggered a fresh compilation"),
+		cacheHits:   reg.NewCounter("scone_sim_compile_cache_hits_total", "CompileCached requests served from the program memoised on their module"),
+		cacheMisses: reg.NewCounter("scone_sim_compile_cache_misses_total", "CompileCached requests that compiled a module with no memoised program"),
 		compiles:    reg.NewCounter("scone_sim_compiles_total", "Modules lowered to instruction streams"),
 		evals:       reg.NewCounter("scone_sim_evals_total", "Combinational evaluation passes executed"),
 		lanes:       reg.NewCounter("scone_sim_lanes_total", "Simulation lanes evaluated (64 x lane words per eval pass)"),

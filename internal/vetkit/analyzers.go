@@ -80,8 +80,9 @@ const simImportPath = "repro/internal/sim"
 
 // CachedCompile forbids direct sim.Compile calls outside internal/sim.
 // Compiling a netlist is the dominant cost of every experiment loop;
-// sim.CompileCached shares compiled programs across callers, and calling
-// sim.Compile directly silently bypasses that cache.
+// sim.CompileCached memoises the program on its module, so every caller
+// holding the same module shares it, and calling sim.Compile directly
+// silently compiles again.
 var CachedCompile = &Analyzer{
 	Name: "cachedcompile",
 	Doc:  "forbid direct sim.Compile outside internal/sim (use sim.CompileCached)",
