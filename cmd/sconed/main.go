@@ -9,8 +9,10 @@
 //	       [-dist] [-lease-batches N] [-lease-ttl D] [-lease-attempts N]
 //	sconed -worker -join URL [-name NAME] [-sim-workers N]
 //
-// With -dist the daemon is a distributed-fabric coordinator: campaign jobs
-// are split into batch-range leases that worker processes pull, execute and
+// Every campaign runs as batch-range leases from the daemon's lease table.
+// Without -dist the job's own goroutine claims and runs them, one
+// -checkpoint-runs chunk each. With -dist the daemon is a coordinator: it
+// never simulates, and worker processes pull the leases, execute them and
 // report back over /v1; expired or failed leases are reassigned with
 // jittered backoff and the merged result is bit-identical to a single-node
 // run. With -worker the process runs no HTTP API of its own — it joins the

@@ -1,28 +1,35 @@
 package service
 
-// Distributed campaign fabric: the coordinator side. A campaign job on a
-// coordinator (Config.Dist.Enabled) is not executed in-process; it is split
-// into batch-range *leases* that worker processes (sconed -worker) pull
-// over HTTP, execute via fault.Campaign.ExecuteBatchesFunc, and report back.
-// Because batch b of a campaign derives all randomness from (seed, b), a
-// lease is location-transparent: any worker, any number of retries, any
-// interleaving — the counts for a batch range are always the same, so the
-// coordinator only has to merge completed ranges in batch order to produce
-// a result bit-identical to a single-node run.
+// The lease table: every campaign the service executes runs through it.
+// register reads the result store once per remaining batch, pre-completes
+// the cached ones and cuts the uncached gaps into batch-range *leases*. On a
+// coordinator (Config.Dist.Enabled) worker processes (sconed -worker) pull
+// the leases over HTTP, execute them via fault.Campaign.ExecuteBatchesFunc
+// and report back, and the coordinator never simulates; on a single-node
+// service the job's own goroutine claims and runs them, one checkpoint chunk
+// each (exec.go). Because batch b of a campaign derives all randomness from
+// (seed, b), a lease is location-transparent: any worker, any number of
+// retries, any interleaving — the counts for a batch range are always the
+// same, so one merge that folds completed ranges in batch order produces a
+// result bit-identical to an uninterrupted run, whoever executed it.
 //
-// Failure handling is lease-shaped: a lease is granted with a TTL that only
-// worker heartbeats renew; an expired lease (worker died), a
+// Failure handling is lease-shaped: a lease is granted to a worker with a
+// TTL that only its heartbeats renew; an expired lease (worker died), a
 // failed lease (worker errored) and a released lease (worker drained) all
 // return to the pending set — the first two with jittered backoff and an
 // attempt count that eventually fails the job, the last immediately and
-// for free. The coordinator's own drain cancels distributed jobs back to
-// the queued state with their merged-prefix checkpoint intact, exactly
-// like local campaigns.
+// for free. An in-process claim has no TTL and no worker: the janitor never
+// expires it and workers never see it. The service's own drain cancels
+// campaign jobs back to the queued state with their merged-prefix
+// checkpoint intact.
 
 import (
+	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -32,16 +39,19 @@ import (
 	"repro/internal/store"
 )
 
-// DistConfig enables and tunes the distributed campaign fabric on a
-// coordinator. The zero value disables it: campaign jobs then execute
-// in-process as before.
+// DistConfig opens the worker protocol and tunes the leases it hands out.
+// The zero value keeps it closed: the service's job goroutines then claim
+// and run their campaigns' leases themselves, one checkpoint chunk
+// (Config.CheckpointEveryRuns) each.
 type DistConfig struct {
-	// Enabled switches campaign execution from in-process to
-	// lease-distributed. Attack, area and lint jobs always run on the
-	// coordinator — they are short relative to campaigns.
+	// Enabled opens the worker protocol and hands campaign leases to
+	// remote workers; the coordinator then never simulates. It is a
+	// deployment setting because accepting tallies from other processes is
+	// a trust decision. Only campaigns are leased: every other job kind
+	// runs on the coordinator.
 	Enabled bool
-	// LeaseBatches is the number of sim.Lanes-wide batches per lease.
-	// Default 8.
+	// LeaseBatches is the number of sim.Lanes-wide batches per lease
+	// handed to a worker. Default 8; without Enabled it does not apply.
 	LeaseBatches int
 	// LeaseTTL is how long a granted lease lives without a heartbeat
 	// before it is reassigned. Default 15s.
@@ -186,9 +196,10 @@ type LeaseReport struct {
 	Error string `json:"error,omitempty"`
 }
 
-// lease is one batch range of one distributed job.
+// lease is one batch range of one registered campaign. A lease claimed
+// in-process is active with no worker and no deadline.
 type lease struct {
-	id      string
+	n       int // creation number; the wire ID is "l" and n, zero-padded
 	jobID   string
 	first   int
 	last    int
@@ -201,6 +212,8 @@ type lease struct {
 	done      int       // completed batches, as the worker's heartbeats report
 }
 
+func (l *lease) id() string { return fmt.Sprintf("l%06d", l.n) }
+
 // workerEntry is one registered worker.
 type workerEntry struct {
 	id        string
@@ -211,39 +224,46 @@ type workerEntry struct {
 	lastSeen  time.Time
 }
 
-// completedRange is a merged-but-not-yet-contiguous lease result. Ranges
-// the result store pre-completed at register time carry their replay split;
-// worker-executed ranges have zero replay.
+// completedRange is a merged-but-not-yet-contiguous range of batches:
+// either executed (a worker's lease or an in-process claim) or, replayed,
+// served from the result store at register time.
 type completedRange struct {
-	last            int
-	counts          CampaignResult
-	replayedRuns    int
-	replayedBatches int
+	last     int
+	counts   CampaignResult
+	replayed bool
 }
 
-// distJob is the coordinator-side state of one distributed campaign.
+// distProgress is a point-in-time view of a registered campaign's merged
+// state.
+type distProgress struct {
+	cursor int            // batches [0, cursor) are merged
+	acc    CampaignResult // their summed tally
+	// replayedRuns, replayedBatches and simulatedBatches split the batches
+	// merged since register between store replay and execution.
+	replayedRuns, replayedBatches, simulatedBatches int
+
+	done   bool   // every batch is merged; set by snapshot
+	failed string // why the job failed, once a lease exhausted its attempts
+}
+
+// distJob is the lease table's state of one registered campaign.
 type distJob struct {
 	// t is the campaign: its request (what grants ship), its batch layout
 	// and its store address.
-	t *campaignTask
+	t            *campaignTask
+	distProgress                        // the merged state snapshot copies
+	completed    map[int]completedRange // firstBatch -> out-of-order results
 
-	cursor          int // merged contiguous batch prefix
-	acc             CampaignResult
-	replayedRuns    int // runs of the merged prefix served from the store
-	replayedBatches int
-	completed       map[int]completedRange // firstBatch -> out-of-order results
-	failed          string
-
-	// notify wakes the job goroutine (executeDistributed); it is
-	// capacity-1 and sends never block, so the coordinator can signal
-	// while holding its mutex.
+	// notify wakes the job goroutine (Service.execute); it is capacity-1
+	// and sends never block, so the coordinator can signal while holding
+	// its mutex.
 	notify chan struct{}
 }
 
 // foldLocked advances the merge cursor over every contiguous completed
 // range, accumulating counts and the replay split in batch order — the
-// ordered-prefix merge that keeps distributed results bit-identical to a
-// single-node run. Callers hold c.mu.
+// ordered-prefix merge that keeps every result bit-identical to an
+// uninterrupted run. Callers hold c.mu.
 func (dj *distJob) foldLocked() (advanced bool) {
 	for {
 		r, ok := dj.completed[dj.cursor]
@@ -252,26 +272,31 @@ func (dj *distJob) foldLocked() (advanced bool) {
 		}
 		delete(dj.completed, dj.cursor)
 		dj.acc.Accumulate(r.counts)
-		dj.replayedRuns += r.replayedRuns
-		dj.replayedBatches += r.replayedBatches
+		if r.replayed {
+			dj.replayedRuns += r.counts.Total
+			dj.replayedBatches += r.last - dj.cursor
+		} else {
+			dj.simulatedBatches += r.last - dj.cursor
+		}
 		dj.cursor = r.last
 		advanced = true
 	}
 }
 
-// coordinator owns the worker registry and the lease table. It has its own
-// mutex — never held together with Service.mu — and talks to job
-// goroutines only through non-blocking notify channels.
+// coordinator owns the worker registry and the lease table; every Service
+// has one. It has its own mutex — never held together with Service.mu — and
+// talks to job goroutines only through non-blocking notify channels.
 type coordinator struct {
 	cfg     DistConfig
 	metrics *Metrics     // set by Service.New after newMetrics
 	results *store.Store // set by Service.New; nil-safe when absent
 
-	mu         sync.Mutex
-	workers    map[string]*workerEntry
-	jobs       map[string]*distJob
-	leases     map[string]*lease
-	order      []*lease // grant scan order: creation order, stable
+	mu      sync.Mutex
+	workers map[string]*workerEntry
+	jobs    map[string]*distJob
+	// order is the lease table in creation order, which is lease-ID order:
+	// grants and claims scan it, and leaseIndexLocked searches it.
+	order      []*lease
 	nextWorker int
 	nextLease  int
 	jitter     *rng.Xoshiro
@@ -284,72 +309,55 @@ func newCoordinator(cfg DistConfig) *coordinator {
 		metrics: &Metrics{}, // nil-safe no-op instruments until the Service wires its own
 		workers: make(map[string]*workerEntry),
 		jobs:    make(map[string]*distJob),
-		leases:  make(map[string]*lease),
 		jitter:  rng.NewXoshiro(uint64(time.Now().UnixNano())),
 	}
 }
 
-// register creates the lease table for a distributed campaign, starting
-// from the checkpointed batch cursor start with acc the tally of the batches
-// before it. The result store is consulted exactly once per batch: cached
-// batches become pre-completed ranges merged through the same
-// ordered-prefix fold as lease results, and only the uncached gaps are cut
-// into leases — a fully cached resubmission grants zero leases. It arms the
-// notify channel once so the job goroutine immediately observes
-// already-done edge cases (e.g. a fully cached or resumed-at-the-end job).
+// register enters a campaign in the lease table, starting from the
+// checkpointed batch cursor start with acc the tally of the batches before
+// it. It is the one place a job reads the result store: every remaining
+// batch is looked up once, cached batches become pre-completed ranges
+// merged through the same ordered-prefix fold as executed ones, and only
+// the uncached gaps are cut into leases of cfg.LeaseBatches batches — a
+// fully cached resubmission leases nothing. It arms the notify channel once
+// so the job goroutine immediately observes already-done edge cases (e.g. a
+// fully cached or resumed-at-the-end job).
 func (c *coordinator) register(t *campaignTask, start int, acc CampaignResult) *distJob {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	jobID, batches := t.id, t.camp.NumBatches()
 	dj := &distJob{
-		t:         t,
-		cursor:    start,
-		acc:       acc,
-		completed: make(map[int]completedRange),
-		notify:    make(chan struct{}, 1),
+		t:            t,
+		distProgress: distProgress{cursor: start, acc: acc},
+		completed:    make(map[int]completedRange),
+		notify:       make(chan struct{}, 1),
 	}
-	c.jobs[jobID] = dj
-	var cached []*store.Counts
-	if t.useStore {
-		cached = cachedBatches(c.results, t, start, batches)
-	}
-	for b := start; b < batches; {
-		if cached != nil && cached[b-start] != nil {
-			first := b
-			var r completedRange
-			for b < batches && cached[b-start] != nil {
-				cnt := *cached[b-start]
-				accumulateCounts(&r.counts, cnt)
-				r.replayedRuns += cnt.Total
-				r.replayedBatches++
-				b++
+	c.jobs[t.id] = dj
+	var gap *lease // the lease the current run of uncached batches fills
+	hits := -1     // first batch of the current run of cached batches
+	for b := start; b < t.camp.NumBatches(); b++ {
+		var cnt store.Counts
+		hit := false
+		if t.useStore {
+			cnt, hit = c.results.GetBatch(store.BatchKey{Campaign: t.digest, Batch: b, Runs: t.camp.BatchRuns(b)})
+		}
+		if hit {
+			if hits < 0 {
+				hits, gap = b, nil
 			}
-			r.last = b
-			dj.completed[first] = r
-			fault.CountReplay(r.replayedBatches, fault.Result{Total: r.replayedRuns})
+			r := dj.completed[hits]
+			r.last, r.replayed = b+1, true
+			r.counts.Accumulate(CampaignResult(cnt))
+			dj.completed[hits] = r
+			fault.CountReplay(1, fault.Result{Total: cnt.Total})
 			continue
 		}
-		end := b
-		for end < batches && (cached == nil || cached[end-start] == nil) {
-			end++
-		}
-		for first := b; first < end; first += c.cfg.LeaseBatches {
-			last := first + c.cfg.LeaseBatches
-			if last > end {
-				last = end
-			}
-			l := &lease{
-				id:    fmt.Sprintf("l%06d", c.nextLease),
-				jobID: jobID,
-				first: first,
-				last:  last,
-				state: LeasePending,
-			}
+		hits = -1
+		if gap == nil || gap.last-gap.first == c.cfg.LeaseBatches {
+			gap = &lease{n: c.nextLease, jobID: t.id, first: b, state: LeasePending}
 			c.nextLease++
-			c.leases[l.id] = l
-			c.order = append(c.order, l)
+			c.order = append(c.order, gap)
 		}
-		b = end
+		gap.last = b + 1
 	}
 	dj.foldLocked()
 	dj.wake()
@@ -366,27 +374,22 @@ func (c *coordinator) unregister(jobID string) {
 }
 
 func (c *coordinator) dropJobLeasesLocked(jobID string) {
-	kept := c.order[:0]
-	for _, l := range c.order {
-		if l.jobID != jobID {
-			kept = append(kept, l)
-			continue
-		}
-		delete(c.leases, l.id)
-	}
-	c.order = kept
+	c.order = slices.DeleteFunc(c.order, func(l *lease) bool { return l.jobID == jobID })
 }
 
-// distProgress is a point-in-time view of a distributed job's merged state,
-// including how the merged prefix split between store replay and worker
-// simulation.
-type distProgress struct {
-	cursor          int
-	acc             CampaignResult
-	replayedRuns    int
-	replayedBatches int
-	done            bool
-	failed          string
+// leaseIndexLocked finds the live lease numbered n in c.order, which is
+// sorted by creation number.
+func (c *coordinator) leaseIndexLocked(n int) (int, bool) {
+	return slices.BinarySearchFunc(c.order, n, func(l *lease, n int) int { return cmp.Compare(l.n, n) })
+}
+
+// leaseLocked resolves a wire lease ID to the live lease, or nil.
+func (c *coordinator) leaseLocked(id string) *lease {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "l"))
+	if i, ok := c.leaseIndexLocked(n); err == nil && ok && c.order[i].id() == id {
+		return c.order[i]
+	}
+	return nil
 }
 
 // snapshot reads a job's merged state for the job goroutine.
@@ -397,14 +400,9 @@ func (c *coordinator) snapshot(jobID string) distProgress {
 	if !ok {
 		return distProgress{}
 	}
-	return distProgress{
-		cursor:          dj.cursor,
-		acc:             dj.acc,
-		replayedRuns:    dj.replayedRuns,
-		replayedBatches: dj.replayedBatches,
-		done:            dj.cursor == dj.t.camp.NumBatches(),
-		failed:          dj.failed,
-	}
+	p := dj.distProgress
+	p.done = p.cursor == dj.t.camp.NumBatches()
+	return p
 }
 
 // wake signals the job goroutine without ever blocking.
@@ -462,7 +460,7 @@ func (c *coordinator) heartbeat(id string, req HeartbeatRequest) (HeartbeatRespo
 	deadline := time.Now().Add(c.cfg.LeaseTTL)
 	resp := HeartbeatResponse{Draining: c.draining}
 	for leaseID, done := range req.Leases {
-		l := c.leases[leaseID]
+		l := c.leaseLocked(leaseID)
 		if l == nil || l.state != LeaseActive || l.worker != w.id {
 			resp.Drop = append(resp.Drop, leaseID)
 			continue
@@ -527,7 +525,7 @@ func (c *coordinator) acquire(workerID string) (*LeaseGrant, error) {
 			c.metrics.LeasesReassigned.Inc()
 		}
 		return &LeaseGrant{
-			LeaseID:    l.id,
+			LeaseID:    l.id(),
 			JobID:      l.jobID,
 			Design:     dj.t.req.Design,
 			Campaign:   *dj.t.req.Campaign,
@@ -541,8 +539,8 @@ func (c *coordinator) acquire(workerID string) (*LeaseGrant, error) {
 // ownedLocked resolves a lease report to the lease iff the worker still
 // owns it.
 func (c *coordinator) ownedLocked(leaseID, workerID string) (*lease, error) {
-	l, ok := c.leases[leaseID]
-	if !ok {
+	l := c.leaseLocked(leaseID)
+	if l == nil {
 		return nil, ErrUnknownLease
 	}
 	if l.state != LeaseActive || l.worker != workerID {
@@ -551,11 +549,9 @@ func (c *coordinator) ownedLocked(leaseID, workerID string) (*lease, error) {
 	return l, nil
 }
 
-// complete finalises a lease: the sum of its per-batch tallies enters the
-// job's merge table and the contiguous prefix is folded forward in batch
-// order. A report that cannot be the range's tally is rejected before
-// anything changes; the worker then fails the lease back for a charged
-// retry.
+// complete finalises a worker's lease through the one merge. A report that
+// cannot be the range's tally is rejected before anything changes; the
+// worker then fails the lease back for a charged retry.
 func (c *coordinator) complete(leaseID string, rep LeaseReport) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -571,25 +567,73 @@ func (c *coordinator) complete(leaseID string, rep LeaseReport) error {
 	if dj == nil {
 		return ErrUnknownLease
 	}
-	counts, err := checkCompletion(dj.t.camp, l.first, l.last, rep.Batches)
-	if err != nil {
-		return fmt.Errorf("lease %s: %w", l.id, err)
+	if err := c.mergeLocked(dj, l, l.last, rep.Batches); err != nil {
+		return err
 	}
 	w.completed++
 	c.metrics.LeasesCompleted.Inc()
-	delete(c.leases, l.id)
-	c.order = slices.DeleteFunc(c.order, func(o *lease) bool { return o == l })
-	// Persist the worker's per-batch tallies under their content addresses
-	// before merging. checkCompletion has matched them to the range;
-	// PutBatch itself rejects tallies that contradict an existing record.
-	if dj.t.useStore {
-		for i, cb := range rep.Batches {
-			bi := l.first + i
-			k := store.BatchKey{Campaign: dj.t.digest, Batch: bi, Runs: dj.t.camp.BatchRuns(bi)}
-			_ = c.results.PutBatch(k, storeCounts(cb))
+	return nil
+}
+
+// claim hands the job's own goroutine its lowest pending lease, or nil once
+// none is left. A coordinator never simulates, so there it is always nil.
+func (c *coordinator) claim(dj *distJob) *lease {
+	if c.cfg.Enabled {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, l := range c.order {
+		if l.state == LeasePending && l.jobID == dj.t.id {
+			l.state = LeaseActive
+			return l
 		}
 	}
-	dj.completed[l.first] = completedRange{last: l.last, counts: counts}
+	return nil
+}
+
+// runClaim runs a claimed lease in one ExecuteBatchesFunc call and merges
+// the batches that finished: all of them, or on cancel or failure the
+// completed prefix, which a drain therefore keeps.
+func (c *coordinator) runClaim(ctx context.Context, dj *distJob, l *lease) error {
+	var batches []CampaignResult
+	_, err := dj.t.camp.ExecuteBatchesFunc(ctx, l.first, l.last, nil, func(_ int, r fault.Result) {
+		batches = append(batches, NewCampaignResult(r))
+	})
+	if len(batches) > 0 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if mErr := c.mergeLocked(dj, l, l.first+len(batches), batches); err == nil {
+			err = mErr
+		}
+	}
+	return err
+}
+
+// mergeLocked is the one way batch tallies enter a campaign, shared by a
+// worker's completion and the job's own claims: it checks batches as the
+// tallies of l's batches [l.first, last), stores each under its content
+// address and folds their sum in batch order. Nothing changes when the
+// check fails. A finished lease leaves the table; a claim cut short keeps
+// its unfinished tail until the job unregisters. Callers hold c.mu.
+func (c *coordinator) mergeLocked(dj *distJob, l *lease, last int, batches []CampaignResult) error {
+	counts, err := checkCompletion(dj.t.camp, l.first, last, batches)
+	if err != nil {
+		return fmt.Errorf("lease %s: %w", l.id(), err)
+	}
+	// PutBatch itself rejects tallies that contradict an existing record.
+	if dj.t.useStore {
+		for i, b := range batches {
+			_ = c.results.PutBatch(store.BatchKey{Campaign: dj.t.digest, Batch: l.first + i, Runs: b.Total}, store.Counts(b))
+		}
+	}
+	dj.completed[l.first] = completedRange{last: last, counts: counts}
+	if last == l.last {
+		i, _ := c.leaseIndexLocked(l.n)
+		c.order = slices.Delete(c.order, i, i+1)
+	} else {
+		l.first = last
+	}
 	if dj.foldLocked() {
 		dj.wake()
 	}
@@ -672,7 +716,7 @@ func (c *coordinator) requeueLocked(l *lease, now time.Time, cause string) {
 	if attempt >= c.cfg.MaxAttempts {
 		if dj := c.jobs[l.jobID]; dj != nil && dj.failed == "" {
 			dj.failed = fmt.Sprintf("lease %s [%d,%d) failed after %d attempts: %s",
-				l.id, l.first, l.last, attempt, cause)
+				l.id(), l.first, l.last, attempt, cause)
 			dj.wake()
 		}
 	}
@@ -698,8 +742,9 @@ func (c *coordinator) backoffLocked(attempt int) time.Duration {
 	return time.Duration(half + int64(c.jitter.Uint64()%uint64(half+1)))
 }
 
-// sweep expires overdue leases and marks silent workers lost. Called by
-// the janitor goroutine; the interval is a fraction of the lease TTL.
+// sweep expires overdue worker leases and marks silent workers lost.
+// Claims have no worker and never expire. Called by the janitor goroutine;
+// the interval is a fraction of the lease TTL.
 func (c *coordinator) sweep(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -710,7 +755,7 @@ func (c *coordinator) sweep(now time.Time) {
 		}
 	}
 	for _, l := range c.order {
-		if l.state != LeaseActive || now.Before(l.expires) {
+		if l.state != LeaseActive || l.worker == "" || now.Before(l.expires) {
 			continue
 		}
 		c.metrics.LeasesExpired.Inc()
@@ -741,19 +786,13 @@ func (c *coordinator) janitor(done <-chan struct{}) {
 
 // setDraining flips the intake off; heartbeats start telling workers.
 func (c *coordinator) setDraining() {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	c.draining = true
 	c.mu.Unlock()
 }
 
-// workerCount reports live (non-left) workers; nil-safe for gauges.
+// workerCount reports live (non-left) workers.
 func (c *coordinator) workerCount() int64 {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var n int64
@@ -765,11 +804,9 @@ func (c *coordinator) workerCount() int64 {
 	return n
 }
 
-// activeLeaseCount reports granted-and-unexpired leases; nil-safe.
+// activeLeaseCount reports active leases: granted to a worker or claimed
+// in-process.
 func (c *coordinator) activeLeaseCount() int64 {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var n int64
@@ -784,9 +821,6 @@ func (c *coordinator) activeLeaseCount() int64 {
 // workersInfo lists the registry for GET /v1/workers, counting each
 // worker's active leases from the lease table.
 func (c *coordinator) workersInfo() []WorkerInfo {
-	if c == nil {
-		return []WorkerInfo{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	active := make(map[string]int)
@@ -811,17 +845,15 @@ func (c *coordinator) workersInfo() []WorkerInfo {
 	return out
 }
 
-// leasesInfo lists live leases for GET /v1/leases.
+// leasesInfo lists live leases in ID order for GET /v1/leases; a claim is
+// active with an empty worker.
 func (c *coordinator) leasesInfo() []LeaseInfo {
-	if c == nil {
-		return []LeaseInfo{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]LeaseInfo, 0, len(c.order))
 	for _, l := range c.order {
 		li := LeaseInfo{
-			ID:          l.id,
+			ID:          l.id(),
 			JobID:       l.jobID,
 			State:       l.state,
 			Worker:      l.worker,
@@ -840,6 +872,5 @@ func (c *coordinator) leasesInfo() []LeaseInfo {
 		}
 		out = append(out, li)
 	}
-	slices.SortFunc(out, func(a, b LeaseInfo) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }

@@ -8,10 +8,12 @@ package service
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 )
 
 func distReq() JobRequest {
@@ -346,7 +348,7 @@ func TestCoordinatorRejectsMalformedCompletion(t *testing.T) {
 	}
 }
 
-func TestCoordinatorDrainingAndNilSafety(t *testing.T) {
+func TestCoordinatorDraining(t *testing.T) {
 	c := newCoordinator(DistConfig{LeaseBatches: 8, LeaseTTL: time.Hour})
 	c.register(distTask("j1"), 0, CampaignResult{})
 	w := c.join(JoinRequest{})
@@ -359,15 +361,66 @@ func TestCoordinatorDrainingAndNilSafety(t *testing.T) {
 	if err != nil || !resp.Draining {
 		t.Fatalf("heartbeat while draining: %+v %v", resp, err)
 	}
+}
 
-	// The gauge and listing helpers are nil-safe so non-coordinators can
-	// share the same wiring.
-	var nilc *coordinator
-	nilc.setDraining()
-	if nilc.workerCount() != 0 || nilc.activeLeaseCount() != 0 {
-		t.Fatal("nil coordinator reports non-zero gauges")
+// TestCoordinatorClaim: without Dist.Enabled the job's own goroutine claims
+// its leases in batch order. A claim has no worker and no TTL, so the
+// janitor never expires it and workers never see it; a claim cut short
+// merges exactly its finished prefix; and the fleet counters, which count
+// remote workers' leases only, stay at zero.
+func TestCoordinatorClaim(t *testing.T) {
+	c := newCoordinator(DistConfig{LeaseBatches: 2, LeaseTTL: time.Hour})
+	c.metrics = newMetrics(obs.NewRegistry(), func() int { return 0 }, c)
+	dj := c.register(distTask("j1"), 0, CampaignResult{})
+	w := c.join(JoinRequest{Name: "bystander"})
+
+	var claims []*lease
+	for l := c.claim(dj); l != nil; l = c.claim(dj) {
+		claims = append(claims, l)
 	}
-	if ws, ls := nilc.workersInfo(), nilc.leasesInfo(); len(ws) != 0 || len(ls) != 0 {
-		t.Fatal("nil coordinator reports listings")
+	var got [][2]int
+	for _, l := range claims {
+		got = append(got, [2]int{l.first, l.last})
+	}
+	if want := [][2]int{{0, 2}, {2, 4}, {4, 5}}; !slices.Equal(got, want) {
+		t.Fatalf("claimed ranges %v, want %v", got, want)
+	}
+	if g, err := c.acquire(w.WorkerID); err != nil || g != nil {
+		t.Fatalf("a worker was granted a claimed range: %+v %v", g, err)
+	}
+
+	c.sweep(time.Now().Add(100 * time.Hour))
+	ls := c.leasesInfo()
+	if len(ls) != 3 {
+		t.Fatalf("lease table after the sweep %+v, want the 3 claims", ls)
+	}
+	for _, l := range ls {
+		if l.State != LeaseActive || l.Worker != "" || l.Expires != nil {
+			t.Fatalf("claim listed as %+v, want active with no worker and no deadline", l)
+		}
+	}
+
+	batch := CampaignResult{Total: 64, Ineffective: 14, Detected: 50}
+	c.mu.Lock()
+	err := c.mergeLocked(dj, claims[0], claims[0].first+1, []CampaignResult{batch})
+	c.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := c.snapshot("j1"); p.cursor != 1 || p.acc != batch || p.simulatedBatches != 1 {
+		t.Fatalf("after one of the first claim's two batches: cursor %d acc %+v simulated %d", p.cursor, p.acc, p.simulatedBatches)
+	}
+
+	m := c.metrics.Snapshot()
+	for _, k := range []string{"leases_granted_total", "leases_completed_total", "leases_expired_total", "leases_reassigned_total"} {
+		if m[k] != 0 {
+			t.Errorf("%s = %d on claims alone, want 0", k, m[k])
+		}
+	}
+	if m["leases_active"] != 3 {
+		t.Errorf("leases_active = %d, want the 3 claims", m["leases_active"])
+	}
+	if ws := c.workersInfo(); ws[0].Active != 0 || ws[0].Completed != 0 {
+		t.Errorf("worker accounting on claims alone %+v", ws[0])
 	}
 }

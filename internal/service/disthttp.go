@@ -1,10 +1,10 @@
 package service
 
-// HTTP surface of the distributed campaign fabric (coordinator role). The
-// listing endpoints answer on every service — an empty registry on a
-// single-node daemon — so dashboards need no mode probe; the mutating
-// worker-protocol endpoints reject with invalid_request unless Config.Dist
-// enabled the fabric.
+// HTTP surface of the lease table. The listing endpoints answer on every
+// service — on a single-node daemon the worker registry is empty and the
+// lease table holds its running campaigns' in-process claims — so
+// dashboards need no mode probe; the worker-protocol endpoints reject with
+// invalid_request unless Config.Dist enabled them.
 
 import (
 	"errors"
@@ -15,7 +15,7 @@ import (
 // carries one short tally per batch of its range.
 const maxDistRequestBytes = 1 << 20
 
-var errDistDisabled = errors.New("distributed fabric disabled (coordinator started without -dist)")
+var errDistDisabled = errors.New("worker protocol disabled (daemon started without -dist)")
 
 func (s *Service) registerDist(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/workers", func(w http.ResponseWriter, r *http.Request) {
@@ -24,27 +24,34 @@ func (s *Service) registerDist(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/leases", func(w http.ResponseWriter, r *http.Request) {
 		writeStatus(w, http.StatusOK, map[string]any{"leases": s.Leases()})
 	})
-	mux.HandleFunc("POST /v1/workers/join", s.handleWorkerJoin)
-	mux.HandleFunc("POST /v1/workers/{id}/heartbeat", s.handleWorkerHeartbeat)
-	mux.HandleFunc("POST /v1/workers/{id}/leave", s.handleWorkerLeave)
-	mux.HandleFunc("POST /v1/leases/acquire", s.handleLeaseAcquire)
-	mux.HandleFunc("POST /v1/leases/{id}/complete", s.leaseReportHandler((*coordinator).complete))
-	mux.HandleFunc("POST /v1/leases/{id}/fail", s.leaseReportHandler((*coordinator).fail))
+	mux.HandleFunc("POST /v1/workers/join", s.workerProtocol(s.handleWorkerJoin))
+	mux.HandleFunc("POST /v1/workers/{id}/heartbeat", s.workerProtocol(s.handleWorkerHeartbeat))
+	mux.HandleFunc("POST /v1/workers/{id}/leave", s.workerProtocol(s.handleWorkerLeave))
+	mux.HandleFunc("POST /v1/leases/acquire", s.workerProtocol(s.handleLeaseAcquire))
+	mux.HandleFunc("POST /v1/leases/{id}/complete", s.workerProtocol(s.leaseReportHandler((*coordinator).complete)))
+	mux.HandleFunc("POST /v1/leases/{id}/fail", s.workerProtocol(s.leaseReportHandler((*coordinator).fail)))
 }
 
-// Workers lists the coordinator's worker registry (empty on a single-node
-// service).
+// workerProtocol gates a worker-protocol handler on Config.Dist.Enabled.
+func (s *Service) workerProtocol(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !s.cfg.Dist.Enabled {
+			writeError(w, http.StatusBadRequest, CodeInvalidRequest, errDistDisabled)
+			return
+		}
+		h(w, r)
+	}
+}
+
+// Workers lists the worker registry; a service without Config.Dist has
+// none.
 func (s *Service) Workers() []WorkerInfo { return s.dist.workersInfo() }
 
-// Leases lists the coordinator's live lease table (empty on a single-node
-// service).
+// Leases lists the live lease table: every running campaign's leases,
+// which a single-node service claims and runs in-process.
 func (s *Service) Leases() []LeaseInfo { return s.dist.leasesInfo() }
 
 func (s *Service) handleWorkerJoin(w http.ResponseWriter, r *http.Request) {
-	if s.dist == nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, errDistDisabled)
-		return
-	}
 	var req JoinRequest
 	if err := decodeRequest(r, maxDistRequestBytes, &req); err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
@@ -54,10 +61,6 @@ func (s *Service) handleWorkerJoin(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if s.dist == nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, errDistDisabled)
-		return
-	}
 	var req HeartbeatRequest
 	if err := decodeRequest(r, maxDistRequestBytes, &req); err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
@@ -73,10 +76,6 @@ func (s *Service) handleWorkerHeartbeat(w http.ResponseWriter, r *http.Request) 
 }
 
 func (s *Service) handleWorkerLeave(w http.ResponseWriter, r *http.Request) {
-	if s.dist == nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, errDistDisabled)
-		return
-	}
 	if err := s.dist.leave(r.PathValue("id")); err != nil {
 		status, code := errorStatus(err)
 		writeError(w, status, code, err)
@@ -89,10 +88,6 @@ func (s *Service) handleWorkerLeave(w http.ResponseWriter, r *http.Request) {
 // (nothing pending, or every pending range behind its backoff gate) — the
 // worker then sleeps for the advertised poll interval.
 func (s *Service) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
-	if s.dist == nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, errDistDisabled)
-		return
-	}
 	var req AcquireRequest
 	if err := decodeRequest(r, maxDistRequestBytes, &req); err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
@@ -116,10 +111,6 @@ func (s *Service) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 // worker knows to discard its work.
 func (s *Service) leaseReportHandler(report func(*coordinator, string, LeaseReport) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.dist == nil {
-			writeError(w, http.StatusBadRequest, CodeInvalidRequest, errDistDisabled)
-			return
-		}
 		var rep LeaseReport
 		if err := decodeRequest(r, maxDistRequestBytes, &rep); err != nil {
 			writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)

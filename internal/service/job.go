@@ -248,6 +248,12 @@ type JobRequest struct {
 	Leakage    *LeakageSpec    `json:"leakage,omitempty"`
 }
 
+// maxRuns caps a campaign's runs and a sweep's runs per placement: 2^26
+// runs, over 800× the paper's 80,000-run campaigns. Registering a campaign
+// looks up every batch in the result store and cuts all of its leases under
+// one lock, and a results query scans every batch, so the cap bounds both.
+const maxRuns = 1 << 26
+
 // Validate rejects malformed requests before they reach the queue; Submit
 // then checks what the request addresses against its built design, so a
 // submission error is a synchronous 400 rather than a failed job.
@@ -258,8 +264,8 @@ func (r *JobRequest) Validate() error {
 		if c == nil {
 			return fmt.Errorf("campaign job needs a campaign spec")
 		}
-		if c.Runs <= 0 {
-			return fmt.Errorf("campaign needs a positive run count (got %d)", c.Runs)
+		if c.Runs <= 0 || c.Runs > maxRuns {
+			return fmt.Errorf("campaign needs a run count in 1..%d (got %d)", maxRuns, c.Runs)
 		}
 		if c.Persistent != nil {
 			if len(c.Faults) > 0 {
@@ -314,8 +320,8 @@ func (r *JobRequest) Validate() error {
 		default:
 			return fmt.Errorf("unknown multifault mode %q", m.Mode)
 		}
-		if m.RunsPerTuple <= 0 {
-			return fmt.Errorf("multifault needs a positive runs_per_tuple (got %d)", m.RunsPerTuple)
+		if m.RunsPerTuple <= 0 || m.RunsPerTuple > maxRuns {
+			return fmt.Errorf("multifault needs a runs_per_tuple in 1..%d (got %d)", maxRuns, m.RunsPerTuple)
 		}
 		if m.MaxTuples < 0 {
 			return fmt.Errorf("multifault needs a non-negative max_tuples (got %d)", m.MaxTuples)

@@ -40,11 +40,12 @@ func (r *jobRun) campaign(ctx context.Context) (*JobResult, error) {
 	r.progress(view(acc))
 
 	prov := r.s.beginRunRecord(r.j, t)
-	res, err := r.s.execute(ctx, t, start, acc, func(a campaignAdvance) {
-		prov.add(a.replayedBatches, a.simulatedBatches)
-		r.commit(&Checkpoint{NextBatch: a.cursor, Counts: a.counts}, view(a.counts))
+	var last distProgress // the final advance carries the replay/simulation split
+	res, err := r.s.execute(ctx, t, start, acc, func(p distProgress) {
+		last = p
+		r.commit(&Checkpoint{NextBatch: p.cursor, Counts: p.acc}, view(p.acc))
 	})
-	prov.finish(err, &res)
+	prov.finish(err, res, last)
 	if err != nil {
 		return nil, err
 	}

@@ -37,10 +37,11 @@ type Metrics struct {
 	JobRunNS     *obs.Histogram
 	CheckpointNS *obs.Histogram
 
-	// Distributed-fabric instruments (coordinator role; all zero on a
-	// single-node service). LeasesReassigned counts grants of a batch range
-	// that had been granted before — the worker-death / lease-expiry /
-	// worker-error recovery path.
+	// Fleet instruments. The counters count remote workers' leases only,
+	// so they stay zero on a single-node service; LeasesActive gauges the
+	// whole lease table, in-process claims included. LeasesReassigned
+	// counts grants of a batch range that had been granted before — the
+	// worker-death / lease-expiry / worker-error recovery path.
 	WorkersJoined    *obs.Counter
 	Heartbeats       *obs.Counter
 	LeasesGranted    *obs.Counter
@@ -52,8 +53,7 @@ type Metrics struct {
 }
 
 // newMetrics registers the service instruments on reg; queueLen samples the
-// job queue's backlog. c is the coordinator when the distributed fabric is
-// enabled (nil otherwise; the worker/lease gauges then read zero).
+// job queue's backlog and c, the lease table, the worker and lease gauges.
 func newMetrics(reg *obs.Registry, queueLen func() int, c *coordinator) *Metrics {
 	m := &Metrics{
 		reg:           reg,
@@ -81,7 +81,7 @@ func newMetrics(reg *obs.Registry, queueLen func() int, c *coordinator) *Metrics
 		LeasesReassigned: reg.NewCounter("scone_service_leases_reassigned_total", "Re-grants of previously granted batch ranges"),
 		Workers: reg.NewGaugeFunc("scone_service_workers_count", "Registered workers in the active state",
 			c.workerCount),
-		LeasesActive: reg.NewGaugeFunc("scone_service_leases_active_count", "Leases currently granted and unexpired",
+		LeasesActive: reg.NewGaugeFunc("scone_service_leases_active_count", "Leases currently granted to a worker or claimed in-process",
 			c.activeLeaseCount),
 	}
 	return m

@@ -1,8 +1,9 @@
 package service
 
 // The result-store integration: campaign content addressing, the zero-
-// simulation read surface (POST /v1/results, GET /v1/runs) and the conversion
-// helpers between the engine's tallies and the store's record types.
+// simulation read surface (POST /v1/results, GET /v1/runs) and the run
+// records. CampaignResult and store.Counts share their fields, so a tally
+// converts between the wire and the store directly.
 //
 // A campaign's content address covers everything a batch outcome depends on
 // except the batch index: the canonical netlist text of the built design,
@@ -61,37 +62,6 @@ func campaignAddress(netlistDigest store.Digest, camp *fault.Campaign) store.Cam
 	return k
 }
 
-// storeCounts converts a wire tally to the store's batch record form.
-func storeCounts(c CampaignResult) store.Counts {
-	return store.Counts{
-		Total:       c.Total,
-		Ineffective: c.Ineffective,
-		Detected:    c.Detected,
-		Effective:   c.Effective,
-		Corrected:   c.Corrected,
-	}
-}
-
-// faultCounts converts an engine batch result to the store's record form.
-func faultCounts(r fault.Result) store.Counts {
-	return store.Counts{
-		Total:       r.Total,
-		Ineffective: r.Ineffective(),
-		Detected:    r.Detected(),
-		Effective:   r.Effective(),
-		Corrected:   r.Corrected(),
-	}
-}
-
-// accumulateCounts folds one stored batch into a wire tally.
-func accumulateCounts(acc *CampaignResult, c store.Counts) {
-	acc.Total += c.Total
-	acc.Ineffective += c.Ineffective
-	acc.Detected += c.Detected
-	acc.Effective += c.Effective
-	acc.Corrected += c.Corrected
-}
-
 // ResultsView is the zero-simulation answer to "what does the store already
 // know about this campaign?". Partial always carries the sum over every
 // cached batch; Result is set only when the cache covers the whole
@@ -147,7 +117,7 @@ func (s *Service) Results(req JobRequest) (ResultsView, error) {
 		k := store.BatchKey{Campaign: digest, Batch: b, Runs: camp.BatchRuns(b)}
 		if c, ok := s.results.PeekBatch(k); ok {
 			view.CachedBatches++
-			accumulateCounts(&view.Partial, c)
+			view.Partial.Accumulate(CampaignResult(c))
 		}
 	}
 	if view.CachedBatches == view.Batches {
@@ -210,25 +180,19 @@ func (s *Service) beginRunRecord(j *job, t *campaignTask) *runProvenance {
 	return p
 }
 
-// add accumulates the execution's replay/simulation split.
-func (p *runProvenance) add(replayedBatches, simulatedBatches int) {
-	p.rec.ReplayedBatches += replayedBatches
-	p.rec.SimulatedBatches += simulatedBatches
-}
-
-// finish supersedes the record with the terminal (or interrupted) state.
-// An interrupted execution — drain or user cancel — stays distinguishable
-// from a failed one: its batches remain valid and a resume continues them.
-func (p *runProvenance) finish(err error, res *CampaignResult) {
+// finish supersedes the record with the terminal (or interrupted) state and
+// the replay/simulation split of last, the execution's final advance. An
+// interrupted execution — drain or user cancel — stays distinguishable from
+// a failed one: its batches remain valid and a resume continues them.
+func (p *runProvenance) finish(err error, res CampaignResult, last distProgress) {
 	now := time.Now().UTC()
 	p.rec.Finished = &now
+	p.rec.ReplayedBatches, p.rec.SimulatedBatches = last.replayedBatches, last.simulatedBatches
 	switch {
 	case err == nil:
 		p.rec.State = string(StateDone)
-		if res != nil {
-			c := storeCounts(*res)
-			p.rec.Result = &c
-		}
+		c := store.Counts(res)
+		p.rec.Result = &c
 	case isCanceled(err):
 		p.rec.State = "interrupted"
 		p.rec.Error = err.Error()

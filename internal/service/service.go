@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -27,8 +28,9 @@ type Config struct {
 	// in memory only (no resume across restarts).
 	StateDir string
 	// CheckpointEveryRuns is the campaign checkpoint/progress interval
-	// in simulated runs; rounded up to whole sim.Lanes batches.
-	// Default 4096.
+	// in simulated runs; rounded up to whole sim.Lanes batches. Without
+	// Dist it is also the size of the lease a job claims and runs in one
+	// engine call. Default 4096.
 	CheckpointEveryRuns int
 	// SimWorkers bounds the goroutines inside one campaign execution
 	// (fault.EngineConfig.Parallelism). Default GOMAXPROCS. Pure execution
@@ -41,10 +43,10 @@ type Config struct {
 	// shared registry so service, sim and fault metrics render as one
 	// exposition.
 	Obs *obs.Registry
-	// Dist configures the distributed campaign fabric. When enabled this
-	// service is a coordinator: campaign jobs are split into batch-range
-	// leases pulled by sconed worker processes instead of executing
-	// in-process.
+	// Dist configures the worker protocol. Every service runs its
+	// campaigns as batch-range leases; when enabled this service is a
+	// coordinator and sconed worker processes pull them instead of the
+	// job's own goroutine.
 	Dist DistConfig
 }
 
@@ -101,7 +103,7 @@ type job struct {
 type Service struct {
 	cfg     Config
 	Metrics *Metrics
-	dist    *coordinator // nil unless Config.Dist.Enabled
+	dist    *coordinator // the lease table every campaign runs through
 	designs *DesignCache
 
 	baseCtx context.Context
@@ -161,15 +163,16 @@ func New(cfg Config) (*Service, error) {
 		rs.EnableObservability(reg)
 		s.results = rs
 	}
-	if cfg.Dist.Enabled {
-		s.dist = newCoordinator(cfg.Dist)
-		s.dist.results = s.results
+	dc := cfg.Dist
+	if !dc.Enabled {
+		// A job claims its own leases, each one checkpoint chunk.
+		dc.LeaseBatches = (cfg.CheckpointEveryRuns + sim.Lanes - 1) / sim.Lanes
 	}
+	s.dist = newCoordinator(dc)
+	s.dist.results = s.results
 	s.Metrics = newMetrics(reg, s.QueueLen, s.dist)
-	if s.dist != nil {
-		s.dist.metrics = s.Metrics
-		go s.dist.janitor(ctx.Done())
-	}
+	s.dist.metrics = s.Metrics
+	go s.dist.janitor(ctx.Done())
 
 	s.mu.Lock() // the queue gauge on reg may already be sampled
 	for _, rec := range recs {

@@ -115,6 +115,8 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 		{"optimised leakage", JobRequest{Kind: KindLeakage, Design: DesignSpec{Optimize: true}, Leakage: &LeakageSpec{Pairs: 32}}},
 		{"attack negative sbox", JobRequest{Kind: KindSIFA, Attack: &AttackSpec{Sbox: intp(-1)}}},
 		{"attack negative bit", JobRequest{Kind: KindFTA, Attack: &AttackSpec{Bit: intp(-1)}}},
+		{"campaign runs over the cap", campaignRequest(maxRuns+1, "prime")},
+		{"multifault runs_per_tuple over the cap", JobRequest{Kind: KindMultiFault, MultiFault: &MultiFaultSpec{RunsPerTuple: maxRuns + 1}}},
 	}
 	for _, tc := range cases {
 		if err := tc.req.Validate(); err == nil {
@@ -124,6 +126,15 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 	ok := campaignRequest(100, "prime")
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid request rejected: %v", err)
+	}
+	atCap := []JobRequest{
+		campaignRequest(maxRuns, "prime"),
+		{Kind: KindMultiFault, MultiFault: &MultiFaultSpec{RunsPerTuple: maxRuns}},
+	}
+	for _, req := range atCap {
+		if err := req.Validate(); err != nil {
+			t.Errorf("%s request at the runs cap rejected: %v", req.Kind, err)
+		}
 	}
 	for _, k := range []Kind{KindArea, KindLint, KindProve} {
 		req := JobRequest{Kind: k, Design: DesignSpec{Optimize: true}}
@@ -609,5 +620,109 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	// Drain is idempotent.
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDrainKeepsFinishedBatches: a drain that cuts a chunk short keeps the
+// batches that finished, so the restarted service simulates exactly the
+// runs after the drained checkpoint and replays none.
+func TestDrainKeepsFinishedBatches(t *testing.T) {
+	const runs = 160 * 64
+	cfg := Config{Workers: 1, SimWorkers: 1, CheckpointEveryRuns: 512, StateDir: t.TempDir()}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Submit(campaignRequest(runs, "prime"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(time.Millisecond) {
+		cur, err := s.Get(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur.State.Terminal() {
+			t.Fatalf("job finished %s before the drain", cur.State)
+		}
+		if cur.Progress != nil && cur.Progress.Done > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint before the deadline")
+		}
+	}
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	mid, err := s.Get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mid.State != StateQueued || mid.Progress == nil || mid.Progress.Done >= runs {
+		t.Fatalf("after the drain: %s, progress %+v; want queued mid-campaign", mid.State, mid.Progress)
+	}
+
+	s = newTestService(t, cfg)
+	final := waitTerminal(t, s, st.ID)
+	if final.State != StateDone {
+		t.Fatalf("resumed job finished %s (%s)", final.State, final.Error)
+	}
+	if direct := directCampaignResult(t, runs, "prime"); *final.Result.Campaign != direct {
+		t.Errorf("resumed result %+v != direct %+v", *final.Result.Campaign, direct)
+	}
+	m := s.Metrics.Snapshot()
+	if want := int64(runs - mid.Progress.Done); m["runs_simulated_total"] != want {
+		t.Errorf("restart simulated %d runs, want the %d after the drained checkpoint", m["runs_simulated_total"], want)
+	}
+	if m["runs_replayed_total"] != 0 {
+		t.Errorf("restart replayed %d runs, want 0", m["runs_replayed_total"])
+	}
+}
+
+// TestSingleNodeJobsClaimTheirLeases: concurrent campaign jobs on a
+// single-node service claim their own chunk leases, which the lease table
+// lists with no worker and no deadline while the listing is read, and each
+// result equals a direct Execute.
+func TestSingleNodeJobsClaimTheirLeases(t *testing.T) {
+	const runs = 4096
+	s := newTestService(t, Config{Workers: 3, CheckpointEveryRuns: 64})
+	var ids []string
+	for i := 0; i < 3; i++ {
+		st, err := s.Submit(campaignRequest(runs, "prime"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	listed := 0
+	for _, id := range ids {
+		for st, _ := s.Get(id); !st.State.Terminal(); st, _ = s.Get(id) {
+			for _, l := range s.Leases() {
+				if l.Worker != "" || l.Expires != nil {
+					t.Fatalf("single-node lease %+v has a worker or a deadline", l)
+				}
+				listed++
+			}
+		}
+	}
+	if listed == 0 {
+		t.Error("the lease table never listed a running job's leases")
+	}
+	direct := directCampaignResult(t, runs, "prime")
+	for _, id := range ids {
+		st := waitTerminal(t, s, id)
+		if st.State != StateDone {
+			t.Fatalf("job %s: %s (%s)", id, st.State, st.Error)
+		}
+		if *st.Result.Campaign != direct {
+			t.Errorf("job %s: %+v, want %+v", id, *st.Result.Campaign, direct)
+		}
+	}
+	if n := len(s.Leases()); n != 0 {
+		t.Errorf("%d leases outlive their jobs", n)
+	}
+	if m := s.Metrics.Snapshot(); m["leases_granted_total"] != 0 || m["leases_completed_total"] != 0 {
+		t.Errorf("claims counted as fleet leases: %v", m)
 	}
 }

@@ -616,17 +616,18 @@ func runEphemeral(ctx context.Context, req service.JobRequest) (*service.JobResu
 // ---------------------------------------------------------------------------
 // Distributed execution layer
 //
-// A Service with DistConfig.Enabled becomes a coordinator: campaign jobs
-// are split into batch-range leases that CampaignWorker processes pull over
-// the /v1 HTTP API, execute, and report back. Campaign batches derive all
+// Every Service runs its campaigns as batch-range leases. With
+// DistConfig.Enabled it becomes a coordinator: CampaignWorker processes pull
+// the leases over the /v1 HTTP API, execute them and report back, where a
+// single-node Service runs them itself. Campaign batches derive all
 // randomness from (seed, batch), so a distributed run — including lease
 // expiry and reassignment after a worker dies — merges to a result
 // bit-identical to a single-node execution. See DESIGN.md §11.
 // ---------------------------------------------------------------------------
 
 type (
-	// DistConfig enables and tunes the distributed campaign fabric on a
-	// coordinator Service (lease sizing, TTL, attempt budget).
+	// DistConfig opens the worker protocol on a coordinator Service and
+	// tunes its leases (sizing, TTL, attempt budget).
 	DistConfig = service.DistConfig
 	// WorkerState is a registered worker's lifecycle position.
 	WorkerState = service.WorkerState
