@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-test bench-full bench-smoke fmt fmt-check vet lint audit fuzz serve e2e e2e-dist e2e-store e2e-prove e2e-multifault e2e-leakage ci
+.PHONY: all build test race coverage bench bench-test bench-full bench-smoke fmt fmt-check vet lint audit fuzz serve e2e e2e-dist e2e-store e2e-prove e2e-multifault e2e-leakage ci
 
 all: build test
 
@@ -14,6 +14,17 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Coverage gate, a ratchet against silent erosion: total statement coverage
+# must stay at or above the recorded baseline (.github/coverage-baseline.txt).
+# Raise the baseline when coverage genuinely improves.
+coverage:
+	$(GO) test -count=1 -coverprofile=coverage.out ./...
+	@total=$$($(GO) tool cover -func=coverage.out | awk '/^total:/ {sub(/%/, "", $$NF); print $$NF}'); \
+	baseline=$$(cat .github/coverage-baseline.txt); \
+	echo "total coverage $${total}% (baseline $${baseline}%)"; \
+	awk -v t="$$total" -v b="$$baseline" 'BEGIN { exit (t+0 >= b+0) ? 0 : 1 }' || { \
+		echo "coverage $${total}% fell below the recorded baseline $${baseline}%" >&2; exit 1; }
 
 # The repository's benchmark (sconeperf/, declared by BENCHMARK.json) at
 # smoke-test size: every workload for about a second, every output
@@ -147,4 +158,4 @@ audit:
 fuzz:
 	$(GO) test -run=Fuzz ./internal/netlist ./internal/lint ./internal/store ./internal/prove ./internal/plan ./internal/service
 
-ci: fmt-check build lint test race bench-smoke bench-test fuzz audit
+ci: fmt-check build lint test race coverage bench-smoke bench-test fuzz audit

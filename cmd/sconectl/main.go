@@ -348,7 +348,7 @@ func requestFlags(fs *flag.FlagSet) func(args []string) (service.JobRequest, err
 	arity := fs.Int("k", 2, "multifault kfault: simultaneous fault locations per tuple")
 	sboxes := fs.String("sboxes", "", "multifault: comma-separated S-box indices (kfault: site columns; persistent: table entries)")
 	prune := fs.Bool("prune", false, "multifault kfault: skip tuples containing an empirically inert site")
-	maxTuples := fs.Int("max-tuples", 0, "multifault: truncate the plan after this many placements (0 = no cap)")
+	maxTuples := fs.Int("max-tuples", 0, "multifault: truncate the plan after this many placements (0 = no truncation)")
 	pairs := fs.Int("pairs", 2048, "leakage: fixed/random trace pairs")
 	powerModel := fs.String("power-model", "hd", "leakage: power model, hd or hw")
 	fixedPT := fs.String("fixed-pt", "0x0123456789ABCDEF", "leakage: the fixed class's plaintext")
@@ -454,7 +454,7 @@ func cmdPlan(args []string, stdout, stderr io.Writer) error {
 	mode := fs.String("mode", "kfault", "plan mode: kfault, persistent")
 	arity := fs.Int("k", 2, "kfault: simultaneous fault locations per tuple")
 	sboxes := fs.String("sboxes", "", "comma-separated S-box indices (kfault: site columns; persistent: table entries)")
-	maxTuples := fs.Int("max-tuples", 0, "truncate the plan after this many placements (0 = no cap)")
+	maxTuples := fs.Int("max-tuples", 0, "truncate the plan after this many placements (0 = no truncation)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

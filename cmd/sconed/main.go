@@ -13,10 +13,12 @@
 // Without -dist the job's own goroutine claims and runs them, one
 // -checkpoint-runs chunk each. With -dist the daemon is a coordinator: it
 // never simulates, and worker processes pull the leases, execute them and
-// report back over /v1; expired or failed leases are reassigned with
-// jittered backoff and the merged result is bit-identical to a single-node
-// run. With -worker the process runs no HTTP API of its own — it joins the
-// coordinator at -join, heartbeats, and executes leases until signalled.
+// report back over /v1. An idle worker's acquire waits on the coordinator
+// until a lease exists, so an idle fleet starts a job at once. Expired or
+// failed leases are reassigned with jittered backoff and the merged result
+// is bit-identical to a single-node run. With -worker the process runs no
+// HTTP API of its own — it joins the coordinator at -join, heartbeats, and
+// executes leases until signalled.
 //
 // On SIGTERM/SIGINT the daemon drains gracefully: intake stops, running
 // campaigns checkpoint and return to the queue, and a restart on the same

@@ -88,6 +88,12 @@ type Request struct {
 	MaxTuples int
 }
 
+// maxPlanTuples caps a plan's length. New refuses a request that would
+// plan more placements, after MaxTuples, before it enumerates any. It is 8×
+// the full k=2 plan over the protected PRESENT-80 core's 128 sites (8,128)
+// and 3.6× the correcting core's 18,336.
+const maxPlanTuples = 1 << 16
+
 // Plan is a generated k-fault campaign plan.
 type Plan struct {
 	// Sites are the filtered candidate locations; Tuples index into it.
@@ -101,7 +107,8 @@ type Plan struct {
 	Truncated bool
 }
 
-// New generates the plan for a built design.
+// New generates the plan for a built design. A plan longer than
+// maxPlanTuples is refused unenumerated.
 func New(d *core.Design, req Request) (*Plan, error) {
 	sites := Sites(d)
 	if len(req.Sboxes) > 0 {
@@ -128,6 +135,13 @@ func New(d *core.Design, req Request) (*Plan, error) {
 	}
 	if req.K > len(sites) {
 		return nil, fmt.Errorf("plan: arity %d exceeds the %d candidate sites", req.K, len(sites))
+	}
+	n := NumTuples(len(sites), req.K)
+	if req.MaxTuples > 0 {
+		n = min(n, req.MaxTuples)
+	}
+	if n > maxPlanTuples {
+		return nil, fmt.Errorf("plan: %d placements exceed the cap of %d; narrow the S-boxes or the cone, or set max tuples", n, maxPlanTuples)
 	}
 	tuples, truncated := Combinations(len(sites), req.K, req.MaxTuples)
 	met.Load().countTuples(len(tuples))

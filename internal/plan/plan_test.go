@@ -116,6 +116,26 @@ func TestNewFiltersAndPlans(t *testing.T) {
 	}
 }
 
+// TestNewCapsPlanLength: a plan longer than maxPlanTuples is refused
+// before any tuple is enumerated; max tuples counts toward the cap.
+func TestNewCapsPlanLength(t *testing.T) {
+	d := buildDesign(t, core.SchemeThreeInOne)
+	p, err := New(d, Request{K: 2})
+	if err != nil {
+		t.Fatalf("full k=2 plan: %v", err)
+	}
+	if len(p.Tuples) != 8128 {
+		t.Fatalf("full k=2 plan has %d tuples, want C(128,2) = 8128", len(p.Tuples))
+	}
+	_, err = New(d, Request{K: 3})
+	if err == nil || !strings.Contains(err.Error(), "341376") || !strings.Contains(err.Error(), fmt.Sprint(maxPlanTuples)) {
+		t.Fatalf("full k=3 plan: %v, want a refusal naming 341376 placements and the cap", err)
+	}
+	if p, err = New(d, Request{K: 3, MaxTuples: 1000}); err != nil || len(p.Tuples) != 1000 || !p.Truncated {
+		t.Fatalf("k=3 plan cut at 1000 tuples: %v", err)
+	}
+}
+
 func TestConeRestriction(t *testing.T) {
 	d := buildDesign(t, core.SchemeThreeInOne)
 	all := Sites(d)

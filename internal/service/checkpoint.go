@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/stats"
 )
@@ -59,18 +58,15 @@ type LeakageCheckpoint struct {
 	TTest     stats.TTestState `json:"ttest"`
 }
 
-// jobRecord is the on-disk form of a job: the full request (jobs are
-// defined by their requests — the determinism contract), lifecycle state
-// and, for the checkpointing kinds, the latest checkpoint.
+// jobRecord is the on-disk form of a job: its status as GET /v1/jobs/{id}
+// shows it, the full request (jobs are defined by their requests — the
+// determinism contract) and, for the checkpointing kinds, the latest
+// checkpoint. Older records, which stored only part of the status, decode
+// unchanged: their keys are a subset of these.
 type jobRecord struct {
-	ID         string      `json:"id"`
+	JobStatus
 	Req        JobRequest  `json:"request"`
-	State      State       `json:"state"`
-	Error      string      `json:"error,omitempty"`
-	Result     *JobResult  `json:"result,omitempty"`
-	Resumed    int         `json:"resumed,omitempty"`
 	Checkpoint *Checkpoint `json:"checkpoint,omitempty"`
-	Submitted  time.Time   `json:"submitted"`
 }
 
 // jobStore persists job records under dir/jobs/<id>.json. A nil jobStore (no

@@ -358,8 +358,9 @@ func (c *Client) LeaveWorker(ctx context.Context, workerID string) error {
 	return c.do(ctx, http.MethodPost, "/v1/workers/"+workerID+"/leave", nil, nil)
 }
 
-// AcquireLease pulls the next available lease; nil when none is grantable
-// right now (poll again after the advertised interval).
+// AcquireLease pulls the next lease. The coordinator holds the request
+// until one is grantable; nil when none became grantable within one
+// heartbeat interval (ask again).
 func (c *Client) AcquireLease(ctx context.Context, workerID string) (*service.LeaseGrant, error) {
 	var g service.LeaseGrant
 	status, err := c.doStatus(ctx, http.MethodPost, "/v1/leases/acquire", service.AcquireRequest{WorkerID: workerID}, &g)

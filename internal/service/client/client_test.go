@@ -257,9 +257,10 @@ func TestSubmitDoesNotRetryOtherErrors(t *testing.T) {
 
 // TestDistEndpointsRoundTrip drives every worker/lease endpoint once
 // against a real coordinator, including the 204 no-lease and post-leave
-// not_found shapes.
+// not_found shapes. The short lease TTL bounds how long the idle acquire
+// parks (one heartbeat interval, TTL/3).
 func TestDistEndpointsRoundTrip(t *testing.T) {
-	c := startDaemon(t, service.Config{Workers: 1, Dist: service.DistConfig{Enabled: true}})
+	c := startDaemon(t, service.Config{Workers: 1, Dist: service.DistConfig{Enabled: true, LeaseTTL: 300 * time.Millisecond}})
 	ctx := context.Background()
 
 	jr, err := c.JoinWorker(ctx, service.JoinRequest{Name: "probe"})

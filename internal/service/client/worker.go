@@ -19,6 +19,12 @@ import (
 	"repro/internal/service"
 )
 
+// retryDelay paces a worker's retries after an error: a failed join, a
+// draining coordinator or an unreachable one. An idle worker does not
+// wait on a clock; its acquire parks on the coordinator until a lease is
+// grantable.
+const retryDelay = 200 * time.Millisecond
+
 // WorkerConfig parameterises a campaign worker.
 type WorkerConfig struct {
 	// Coordinator is the coordinator daemon's base URL.
@@ -109,33 +115,27 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.heartbeatLoop(ctx, hbStop, time.Duration(join.HeartbeatMS)*time.Millisecond)
 	}()
 
-	poll := time.Duration(join.PollMS) * time.Millisecond
-	if poll <= 0 {
-		poll = 200 * time.Millisecond
-	}
-	for {
-		if ctx.Err() != nil {
-			break
-		}
+	for ctx.Err() == nil {
 		grant, err := w.client.AcquireLease(ctx, w.ID())
 		switch {
 		case err == nil && grant != nil:
 			w.execute(ctx, *grant)
-			continue
+		case err == nil:
+			// The acquire parked a heartbeat interval with nothing to
+			// grant; ask again.
 		case errors.Is(err, ErrNotFound):
 			// The coordinator forgot us (restart); re-join under a new ID.
-			if join, err = w.join(ctx); err != nil {
+			if _, err = w.join(ctx); err != nil {
 				close(hbStop)
 				hbDone.Wait()
 				return err
 			}
-			continue
-		}
-		// No lease available, coordinator draining, or transient error:
-		// idle until the next poll tick.
-		select {
-		case <-ctx.Done():
-		case <-time.After(poll):
+		default:
+			// Coordinator draining or unreachable.
+			select {
+			case <-ctx.Done():
+			case <-time.After(retryDelay):
+			}
 		}
 	}
 
@@ -167,7 +167,7 @@ func (w *Worker) join(ctx context.Context) (service.JoinResponse, error) {
 		select {
 		case <-ctx.Done():
 			return service.JoinResponse{}, ctx.Err()
-		case <-time.After(200 * time.Millisecond):
+		case <-time.After(retryDelay):
 		}
 	}
 }

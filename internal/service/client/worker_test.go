@@ -22,7 +22,7 @@ func TestDesignCacheWorkerBuildsOnce(t *testing.T) {
 	svc, err := service.New(service.Config{
 		Workers: 1,
 		Obs:     reg,
-		Dist:    service.DistConfig{Enabled: true, LeaseBatches: 1, PollEvery: 20 * time.Millisecond},
+		Dist:    service.DistConfig{Enabled: true, LeaseBatches: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

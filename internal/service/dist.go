@@ -54,14 +54,12 @@ type DistConfig struct {
 	// handed to a worker. Default 8; without Enabled it does not apply.
 	LeaseBatches int
 	// LeaseTTL is how long a granted lease lives without a heartbeat
-	// before it is reassigned. Default 15s.
+	// before it is reassigned. Default 15s. Workers heartbeat every
+	// LeaseTTL/3, and an idle worker's acquire parks at most that long.
 	LeaseTTL time.Duration
 	// MaxAttempts bounds grant attempts per batch range before the whole
 	// job fails. Default 8.
 	MaxAttempts int
-	// PollEvery is the idle lease-poll interval advertised to workers.
-	// Default 500ms.
-	PollEvery time.Duration
 }
 
 func (c DistConfig) withDefaults() DistConfig {
@@ -73,9 +71,6 @@ func (c DistConfig) withDefaults() DistConfig {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 8
-	}
-	if c.PollEvery <= 0 {
-		c.PollEvery = 500 * time.Millisecond
 	}
 	return c
 }
@@ -146,12 +141,11 @@ type JoinRequest struct {
 	Name string `json:"name,omitempty"`
 }
 
-// JoinResponse hands the worker its identity and the coordinator's pacing:
-// a heartbeat every LeaseTTL/3 and an idle poll every PollEvery.
+// JoinResponse hands the worker its identity and its heartbeat interval,
+// LeaseTTL/3, which also bounds how long an acquire parks.
 type JoinResponse struct {
 	WorkerID    string `json:"worker_id"`
 	HeartbeatMS int64  `json:"heartbeat_ms"`
-	PollMS      int64  `json:"poll_ms"`
 }
 
 // HeartbeatRequest renews a worker's leases; Leases carries each lease's
@@ -161,10 +155,10 @@ type HeartbeatRequest struct {
 }
 
 // HeartbeatResponse tells the worker which of its reported leases it no
-// longer owns (abort those executions) and whether the coordinator drains.
+// longer owns (abort those executions). A draining coordinator answers
+// acquires with 503 draining instead.
 type HeartbeatResponse struct {
-	Drop     []string `json:"drop,omitempty"`
-	Draining bool     `json:"draining,omitempty"`
+	Drop []string `json:"drop,omitempty"`
 }
 
 // AcquireRequest asks for a lease (POST /v1/leases/acquire).
@@ -253,11 +247,6 @@ type distJob struct {
 	t            *campaignTask
 	distProgress                        // the merged state snapshot copies
 	completed    map[int]completedRange // firstBatch -> out-of-order results
-
-	// notify wakes the job goroutine (Service.execute); it is capacity-1
-	// and sends never block, so the coordinator can signal while holding
-	// its mutex.
-	notify chan struct{}
 }
 
 // foldLocked advances the merge cursor over every contiguous completed
@@ -285,7 +274,8 @@ func (dj *distJob) foldLocked() (advanced bool) {
 
 // coordinator owns the worker registry and the lease table; every Service
 // has one. It has its own mutex — never held together with Service.mu — and
-// talks to job goroutines only through non-blocking notify channels.
+// wakes everything that waits on the table, job goroutines and parked
+// acquires alike, through one change channel.
 type coordinator struct {
 	cfg     DistConfig
 	metrics *Metrics     // set by Service.New after newMetrics
@@ -301,6 +291,10 @@ type coordinator struct {
 	nextLease  int
 	jitter     *rng.Xoshiro
 	draining   bool
+	// change is closed and replaced whenever a waiter may act: register, a
+	// merge advance, a release, every sweep and drain. A waiter takes it
+	// before it reads the state it waits on, so it misses no change.
+	change chan struct{}
 }
 
 func newCoordinator(cfg DistConfig) *coordinator {
@@ -310,7 +304,21 @@ func newCoordinator(cfg DistConfig) *coordinator {
 		workers: make(map[string]*workerEntry),
 		jobs:    make(map[string]*distJob),
 		jitter:  rng.NewXoshiro(uint64(time.Now().UnixNano())),
+		change:  make(chan struct{}),
 	}
+}
+
+// changed returns the channel the table's next change closes.
+func (c *coordinator) changed() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.change
+}
+
+// signalLocked wakes every waiter on the table. Callers hold c.mu.
+func (c *coordinator) signalLocked() {
+	close(c.change)
+	c.change = make(chan struct{})
 }
 
 // register enters a campaign in the lease table, starting from the
@@ -319,9 +327,7 @@ func newCoordinator(cfg DistConfig) *coordinator {
 // batch is looked up once, cached batches become pre-completed ranges
 // merged through the same ordered-prefix fold as executed ones, and only
 // the uncached gaps are cut into leases of cfg.LeaseBatches batches — a
-// fully cached resubmission leases nothing. It arms the notify channel once
-// so the job goroutine immediately observes already-done edge cases (e.g. a
-// fully cached or resumed-at-the-end job).
+// fully cached resubmission leases nothing.
 func (c *coordinator) register(t *campaignTask, start int, acc CampaignResult) *distJob {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -329,7 +335,6 @@ func (c *coordinator) register(t *campaignTask, start int, acc CampaignResult) *
 		t:            t,
 		distProgress: distProgress{cursor: start, acc: acc},
 		completed:    make(map[int]completedRange),
-		notify:       make(chan struct{}, 1),
 	}
 	c.jobs[t.id] = dj
 	var gap *lease // the lease the current run of uncached batches fills
@@ -360,7 +365,7 @@ func (c *coordinator) register(t *campaignTask, start int, acc CampaignResult) *
 		gap.last = b + 1
 	}
 	dj.foldLocked()
-	dj.wake()
+	c.signalLocked()
 	return dj
 }
 
@@ -405,15 +410,8 @@ func (c *coordinator) snapshot(jobID string) distProgress {
 	return p
 }
 
-// wake signals the job goroutine without ever blocking.
-func (dj *distJob) wake() {
-	select {
-	case dj.notify <- struct{}{}:
-	default:
-	}
-}
-
-// join registers a worker and hands back its identity plus pacing.
+// join registers a worker and hands back its identity plus its heartbeat
+// interval.
 func (c *coordinator) join(req JoinRequest) JoinResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -428,12 +426,12 @@ func (c *coordinator) join(req JoinRequest) JoinResponse {
 	c.nextWorker++
 	c.workers[w.id] = w
 	c.metrics.WorkersJoined.Inc()
-	return JoinResponse{
-		WorkerID:    w.id,
-		HeartbeatMS: (c.cfg.LeaseTTL / 3).Milliseconds(),
-		PollMS:      c.cfg.PollEvery.Milliseconds(),
-	}
+	return JoinResponse{WorkerID: w.id, HeartbeatMS: c.heartbeatEvery().Milliseconds()}
 }
+
+// heartbeatEvery is the interval workers heartbeat at, a third of the lease
+// TTL; it also bounds how long an acquire parks.
+func (c *coordinator) heartbeatEvery() time.Duration { return c.cfg.LeaseTTL / 3 }
 
 // touchLocked revives a worker on any authenticated traffic. Left workers
 // stay left: their ID is retired.
@@ -458,7 +456,7 @@ func (c *coordinator) heartbeat(id string, req HeartbeatRequest) (HeartbeatRespo
 	}
 	c.metrics.Heartbeats.Inc()
 	deadline := time.Now().Add(c.cfg.LeaseTTL)
-	resp := HeartbeatResponse{Draining: c.draining}
+	var resp HeartbeatResponse
 	for leaseID, done := range req.Leases {
 		l := c.leaseLocked(leaseID)
 		if l == nil || l.state != LeaseActive || l.worker != w.id {
@@ -534,6 +532,26 @@ func (c *coordinator) acquire(workerID string) (*LeaseGrant, error) {
 		}, nil
 	}
 	return nil, nil
+}
+
+// acquireWait is acquire parked on the table's change channel: it returns
+// as soon as a scan grants a lease or fails, and nil once ctx ends or one
+// heartbeat interval passes — the bound that keeps a server shutdown, which
+// waits for in-flight handlers, from waiting on an idle worker for longer.
+func (c *coordinator) acquireWait(ctx context.Context, workerID string) (*LeaseGrant, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.heartbeatEvery())
+	defer cancel()
+	for {
+		changed := c.changed()
+		if g, err := c.acquire(workerID); g != nil || err != nil {
+			return g, err
+		}
+		select {
+		case <-ctx.Done():
+			return nil, nil
+		case <-changed:
+		}
+	}
 }
 
 // ownedLocked resolves a lease report to the lease iff the worker still
@@ -635,7 +653,7 @@ func (c *coordinator) mergeLocked(dj *distJob, l *lease, last int, batches []Cam
 		l.first = last
 	}
 	if dj.foldLocked() {
-		dj.wake()
+		c.signalLocked()
 	}
 	return nil
 }
@@ -705,11 +723,13 @@ func (c *coordinator) releaseLocked(l *lease, now time.Time, charged bool) {
 		l.attempt-- // the re-grant is not a new attempt
 		l.notBefore = time.Time{}
 	}
+	c.signalLocked()
 }
 
 // requeueLocked is releaseLocked plus the attempt-budget check. The lease
 // goes back to pending either way; once the job is marked failed, acquire
-// never grants its leases again.
+// never grants its leases again. The release's signal wakes the job
+// goroutine, which reads the failure once c.mu is released.
 func (c *coordinator) requeueLocked(l *lease, now time.Time, cause string) {
 	attempt := l.attempt
 	c.releaseLocked(l, now, true)
@@ -717,7 +737,6 @@ func (c *coordinator) requeueLocked(l *lease, now time.Time, cause string) {
 		if dj := c.jobs[l.jobID]; dj != nil && dj.failed == "" {
 			dj.failed = fmt.Sprintf("lease %s [%d,%d) failed after %d attempts: %s",
 				l.id(), l.first, l.last, attempt, cause)
-			dj.wake()
 		}
 	}
 }
@@ -744,7 +763,9 @@ func (c *coordinator) backoffLocked(attempt int) time.Duration {
 
 // sweep expires overdue worker leases and marks silent workers lost.
 // Claims have no worker and never expire. Called by the janitor goroutine;
-// the interval is a fraction of the lease TTL.
+// the interval is a fraction of the lease TTL. Every sweep signals a change,
+// because backoff gates pass with time: a parked acquire rescans, and a
+// backed-off range is offered within one interval of its gate.
 func (c *coordinator) sweep(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -761,6 +782,7 @@ func (c *coordinator) sweep(now time.Time) {
 		c.metrics.LeasesExpired.Inc()
 		c.requeueLocked(l, now, "lease expired (worker lost)")
 	}
+	c.signalLocked()
 }
 
 // janitor drives sweep until the service's base context dies.
@@ -784,10 +806,12 @@ func (c *coordinator) janitor(done <-chan struct{}) {
 	}
 }
 
-// setDraining flips the intake off; heartbeats start telling workers.
+// setDraining flips the intake off: every acquire, parked ones included,
+// answers ErrDraining from now on.
 func (c *coordinator) setDraining() {
 	c.mu.Lock()
 	c.draining = true
+	c.signalLocked()
 	c.mu.Unlock()
 }
 

@@ -7,6 +7,7 @@ package service
 // covers the same machinery end to end with real workers.
 
 import (
+	"context"
 	"errors"
 	"slices"
 	"testing"
@@ -67,11 +68,12 @@ func acquirePoll(t *testing.T, c *coordinator, workerID string) *LeaseGrant {
 
 func TestCoordinatorGrantOrderAndMerge(t *testing.T) {
 	c := newCoordinator(DistConfig{LeaseBatches: 2, LeaseTTL: time.Hour})
-	dj := c.register(distTask("j1"), 0, CampaignResult{})
+	changed := c.changed()
+	c.register(distTask("j1"), 0, CampaignResult{})
 	select {
-	case <-dj.notify:
+	case <-changed:
 	default:
-		t.Fatal("register did not arm the notify channel")
+		t.Fatal("register did not close the change channel")
 	}
 	if got := len(c.leasesInfo()); got != 3 {
 		t.Fatalf("5 batches at 2 per lease made %d leases, want 3", got)
@@ -79,7 +81,7 @@ func TestCoordinatorGrantOrderAndMerge(t *testing.T) {
 
 	w1 := c.join(JoinRequest{Name: "a"})
 	w2 := c.join(JoinRequest{Name: "b"})
-	if w1.HeartbeatMS != (time.Hour/3).Milliseconds() || w1.PollMS <= 0 {
+	if w1.HeartbeatMS != (time.Hour / 3).Milliseconds() {
 		t.Fatalf("join pacing %+v", w1)
 	}
 
@@ -357,9 +359,86 @@ func TestCoordinatorDraining(t *testing.T) {
 	if _, err := c.acquire(w.WorkerID); !errors.Is(err, ErrDraining) {
 		t.Fatalf("acquire while draining: %v", err)
 	}
-	resp, err := c.heartbeat(w.WorkerID, HeartbeatRequest{})
-	if err != nil || !resp.Draining {
-		t.Fatalf("heartbeat while draining: %+v %v", resp, err)
+	if _, err := c.heartbeat(w.WorkerID, HeartbeatRequest{}); err != nil {
+		t.Fatalf("heartbeat while draining: %v", err)
+	}
+}
+
+// TestCoordinatorParkedAcquire: an acquire with nothing to grant parks on
+// the lease table's change channel. register's new lease, drain, and a
+// backoff gate that the next sweep finds passed each answer it at once;
+// when its context ends it answers empty.
+func TestCoordinatorParkedAcquire(t *testing.T) {
+	c := newCoordinator(DistConfig{LeaseBatches: 8, LeaseTTL: time.Hour})
+	w := c.join(JoinRequest{})
+	type answer struct {
+		g   *LeaseGrant
+		err error
+	}
+	// park starts an acquire and requires it to still be parked a moment
+	// later, when nothing has changed.
+	park := func(ctx context.Context) <-chan answer {
+		out := make(chan answer, 1)
+		go func() {
+			g, err := c.acquireWait(ctx, w.WorkerID)
+			out <- answer{g, err}
+		}()
+		select {
+		case a := <-out:
+			t.Fatalf("acquire answered %+v %v with nothing changed", a.g, a.err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		return out
+	}
+	answered := func(parked <-chan answer) answer {
+		t.Helper()
+		select {
+		case a := <-parked:
+			return a
+		case <-time.After(5 * time.Second):
+			t.Fatal("the parked acquire did not answer")
+			return answer{}
+		}
+	}
+	ctx := context.Background()
+
+	parked := park(ctx)
+	c.register(distTask("j1"), 0, CampaignResult{})
+	g := answered(parked)
+	if g.err != nil || g.g == nil || g.g.FirstBatch != 0 || g.g.LastBatch != 5 {
+		t.Fatalf("parked acquire after register: %+v %v", g.g, g.err)
+	}
+
+	// A failed lease waits out its backoff gate. Once the gate has passed,
+	// the next sweep hands the range to the parked acquire.
+	if err := c.fail(g.g.LeaseID, LeaseReport{WorkerID: w.WorkerID, Error: "boom"}); err != nil {
+		t.Fatal(err)
+	}
+	parked = park(ctx)
+	c.mu.Lock()
+	c.order[0].notBefore = time.Now()
+	c.mu.Unlock()
+	select {
+	case a := <-parked:
+		t.Fatalf("acquire answered %+v %v before a sweep", a.g, a.err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	c.sweep(time.Now())
+	if a := answered(parked); a.err != nil || a.g == nil || a.g.LeaseID != g.g.LeaseID {
+		t.Fatalf("parked acquire after the gate and a sweep: %+v %v, want %s", a.g, a.err, g.g.LeaseID)
+	}
+
+	ended, cancel := context.WithCancel(ctx)
+	parked = park(ended)
+	cancel()
+	if a := answered(parked); a.g != nil || a.err != nil {
+		t.Fatalf("parked acquire after its context ended: %+v %v, want nothing", a.g, a.err)
+	}
+
+	parked = park(ctx)
+	c.setDraining()
+	if a := answered(parked); !errors.Is(a.err, ErrDraining) {
+		t.Fatalf("parked acquire on drain: %+v %v, want %v", a.g, a.err, ErrDraining)
 	}
 }
 

@@ -84,16 +84,18 @@ func (s *Service) handleWorkerLeave(w http.ResponseWriter, r *http.Request) {
 	writeStatus(w, http.StatusOK, map[string]string{"status": "left"})
 }
 
-// handleLeaseAcquire grants a lease, or answers 204 when none is grantable
-// (nothing pending, or every pending range behind its backoff gate) — the
-// worker then sleeps for the advertised poll interval.
+// handleLeaseAcquire parks until a lease is grantable and grants it, or
+// answers 204 when none became grantable within one heartbeat interval
+// (nothing pending, or every pending range behind its backoff gate) or the
+// worker hung up — the worker then asks again at once. A drain answers
+// every parked acquire with 503 draining.
 func (s *Service) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 	var req AcquireRequest
 	if err := decodeRequest(r, maxDistRequestBytes, &req); err != nil {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, err)
 		return
 	}
-	grant, err := s.dist.acquire(req.WorkerID)
+	grant, err := s.dist.acquireWait(r.Context(), req.WorkerID)
 	if err != nil {
 		status, code := errorStatus(err)
 		writeError(w, status, code, err)

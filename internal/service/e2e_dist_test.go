@@ -34,7 +34,6 @@ func distDaemonConfig() service.Config {
 			LeaseBatches: 1,
 			LeaseTTL:     300 * time.Millisecond,
 			MaxAttempts:  8,
-			PollEvery:    20 * time.Millisecond,
 		},
 	}
 }
@@ -302,6 +301,64 @@ func TestE2EDistributedCoordinatorDrainAndResume(t *testing.T) {
 	}
 	cancel()
 	<-runDone
+}
+
+// TestE2EDistributedIdleWorkerStartsAtOnce: a worker with nothing to do
+// parks in acquire, so a job submitted to an idle fleet is leased the moment
+// the coordinator registers it rather than on a later poll. The coordinator
+// runs at the DistConfig defaults.
+func TestE2EDistributedIdleWorkerStartsAtOnce(t *testing.T) {
+	svc, c := startDaemon(t, service.Config{Workers: 1, Dist: service.DistConfig{Enabled: true}})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	granted := make(chan time.Time, 1)
+	w := client.NewWorker(client.WorkerConfig{
+		Coordinator: c.BaseURL,
+		Name:        "idle",
+		OnLease: func(service.LeaseGrant) {
+			select {
+			case granted <- time.Now():
+			default:
+			}
+		},
+	})
+	runDone := make(chan error, 1)
+	go func() { runDone <- w.Run(ctx) }()
+	defer func() {
+		cancel()
+		if err := <-runDone; err != nil {
+			t.Error(err)
+		}
+	}()
+	for svc.Metrics.WorkersJoined.Value() == 0 {
+		if ctx.Err() != nil {
+			t.Fatal("the worker never joined")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond) // the worker's first acquire finds the table empty
+
+	const runs = sim.Lanes
+	st, err := c.Submit(ctx, e2eRequest(runs, "prime"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case at := <-granted:
+		if wait := at.Sub(st.Submitted); wait > 200*time.Millisecond {
+			t.Fatalf("the idle worker was granted the job's lease %v after submission, want at most 200ms", wait)
+		}
+	case <-ctx.Done():
+		t.Fatal("the idle worker was never granted a lease")
+	}
+	final, err := c.Wait(ctx, st.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != service.StateDone || *final.Result.Campaign != directResult(t, runs, "prime") {
+		t.Fatalf("job on the idle fleet: %s %+v", final.State, final.Result)
+	}
 }
 
 // TestE2EDistributedCompletionNeedsBatchTallies plays a worker by hand over

@@ -63,17 +63,11 @@ func (s *Service) execute(ctx context.Context, t *campaignTask, start int, acc C
 	dj := c.register(t, start, acc)
 	defer c.unregister(t.id)
 	last := distProgress{cursor: start, acc: acc}
+	var err error
 	for {
-		var err error
-		if l := c.claim(dj); l != nil {
-			err = c.runClaim(ctx, dj, l)
-		} else {
-			select {
-			case <-ctx.Done():
-				err = ctx.Err()
-			case <-dj.notify:
-			}
-		}
+		// The first pass reads what register already merged: a fully
+		// cached or resumed-at-the-end campaign is done before any wait.
+		changed := c.changed()
 		p := c.snapshot(t.id)
 		if p.cursor != last.cursor {
 			replayed := p.replayedRuns - last.replayedRuns
@@ -91,6 +85,15 @@ func (s *Service) execute(ctx context.Context, t *campaignTask, start int, acc C
 			return last.acc, errors.New(p.failed)
 		case p.done:
 			return last.acc, nil
+		}
+		if l := c.claim(dj); l != nil {
+			err = c.runClaim(ctx, dj, l)
+			continue
+		}
+		select {
+		case <-ctx.Done():
+			err = ctx.Err()
+		case <-changed:
 		}
 	}
 }

@@ -168,7 +168,8 @@ type MultiFaultSpec struct {
 	// Prune skips kfault tuples containing a site whose singleton campaign
 	// is already known ineffective (prover verdicts or cached tallies).
 	Prune bool `json:"prune,omitempty"`
-	// MaxTuples truncates the plan; 0 means no cap.
+	// MaxTuples truncates the plan; 0 means no truncation. A kfault plan
+	// still longer than 2^16 placements is refused at submission.
 	MaxTuples int `json:"max_tuples,omitempty"`
 }
 

@@ -28,7 +28,7 @@ func (r *jobRun) campaign(ctx context.Context) (*JobResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, err := r.s.newCampaignTask(r.j.id, req.Design, e, req.Campaign)
+	t, err := r.s.newCampaignTask(r.j.ID, req.Design, e, req.Campaign)
 	if err != nil {
 		return nil, err
 	}

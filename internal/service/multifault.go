@@ -42,7 +42,7 @@ func (r *jobRun) multiFault(ctx context.Context) (*JobResult, error) {
 		return nil, err
 	}
 	exec := placementExec(func(id string, cs *CampaignSpec) (CampaignResult, error) {
-		t, err := r.s.newCampaignTask(r.j.id+"/"+id, req.Design, e, cs)
+		t, err := r.s.newCampaignTask(r.j.ID+"/"+id, req.Design, e, cs)
 		if err != nil {
 			return CampaignResult{}, err
 		}
@@ -119,23 +119,11 @@ func planMultiFault(d *core.Design, m *MultiFaultSpec, exec placementExec) (*Mul
 		return res, placements, nil
 	}
 
-	arity := m.K
-	if arity == 0 {
-		arity = 2
-	}
-	req := plan.Request{K: arity, Sboxes: m.Sboxes, MaxTuples: m.MaxTuples}
-	if m.Cone != nil {
-		faults, err := resolveFaults(d, []FaultSpec{*m.Cone})
-		if err != nil {
-			return nil, nil, fmt.Errorf("cone: %w", err)
-		}
-		req.Cone = faults[0].Net
-	}
-	p, err := plan.New(d, req)
+	p, err := kfaultPlan(d, m)
 	if err != nil {
 		return nil, nil, err
 	}
-	res.K = arity
+	res.K = p.K
 	res.Planned = len(p.Tuples)
 	res.Truncated = p.Truncated
 	for _, site := range p.Sites {
@@ -171,10 +159,28 @@ func planMultiFault(d *core.Design, m *MultiFaultSpec, exec placementExec) (*Mul
 	return res, placements, nil
 }
 
+// kfaultPlan generates a kfault sweep's plan on the design it runs on: the
+// arity (default 2), the S-box filter, the cone and the tuple bound.
+// plan.New refuses an arity above the candidate-site count and a plan over
+// its length cap before it enumerates anything.
+func kfaultPlan(d *core.Design, m *MultiFaultSpec) (*plan.Plan, error) {
+	req := plan.Request{K: m.K, Sboxes: m.Sboxes, MaxTuples: m.MaxTuples}
+	if req.K == 0 {
+		req.K = 2
+	}
+	if m.Cone != nil {
+		faults, err := resolveFaults(d, []FaultSpec{*m.Cone})
+		if err != nil {
+			return nil, fmt.Errorf("cone: %w", err)
+		}
+		req.Cone = faults[0].Net
+	}
+	return plan.New(d, req)
+}
+
 // checkMultiFault checks a validated sweep against the design it runs on:
-// the S-box filter (table rows in persistent mode), the cone location and
-// the tuples' cycle. An arity above the candidate-site count needs the plan
-// itself, so it stays a job failure.
+// the S-box filter (table rows in persistent mode), the tuples' cycle and,
+// in kfault mode, the plan itself — its cone, its arity and its length.
 func checkMultiFault(d *core.Design, m *MultiFaultSpec) error {
 	n, unit := d.Spec.NumSboxes(), "S-boxes"
 	if m.Mode == "persistent" {
@@ -188,15 +194,11 @@ func checkMultiFault(d *core.Design, m *MultiFaultSpec) error {
 	if m.Mode == "persistent" {
 		return nil
 	}
-	if m.Cone != nil {
-		if _, err := resolveFaults(d, []FaultSpec{*m.Cone}); err != nil {
-			return fmt.Errorf("cone: %w", err)
-		}
-	}
 	if c := m.Cycle; c != nil && (*c < 0 || *c > d.LastRoundCycle()) {
 		return fmt.Errorf("multifault cycle %d outside 0..%d", *c, d.LastRoundCycle())
 	}
-	return nil
+	_, err := kfaultPlan(d, m)
+	return err
 }
 
 // siteFault maps a planned site back onto the wire fault vocabulary, so a

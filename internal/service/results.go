@@ -159,13 +159,13 @@ type runProvenance struct {
 // to pure bookkeeping that is never persisted.
 func (s *Service) beginRunRecord(j *job, t *campaignTask) *runProvenance {
 	p := &runProvenance{s: s, rec: store.RunRecord{
-		ID:        j.id,
-		JobID:     j.id,
+		ID:        j.ID,
+		JobID:     j.ID,
 		Kind:      string(j.req.Kind),
 		Runs:      t.camp.Runs,
 		Batches:   t.camp.NumBatches(),
 		State:     string(StateRunning),
-		Submitted: j.submitted,
+		Submitted: j.Submitted,
 		Started:   time.Now().UTC(),
 	}}
 	if b, err := json.Marshal(j.req); err == nil {

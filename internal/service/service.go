@@ -74,25 +74,16 @@ func (c Config) engineDefaults() EngineDefaults {
 // ErrUnknownJob is returned for IDs the service has never seen.
 var ErrUnknownJob = errors.New("service: unknown job")
 
-// job is the in-memory state of one job. All mutable fields are guarded by
-// Service.mu; the campaign hot loop runs without it and communicates
-// through per-chunk callbacks.
+// job is the in-memory state of one job: its wire status plus its request,
+// checkpoint, cancel function and stream subscribers. All mutable fields
+// are guarded by Service.mu; the campaign hot loop runs without it and
+// communicates through per-chunk callbacks.
 type job struct {
-	id  string
-	req JobRequest
-
-	state      State
-	err        string
-	result     *JobResult
-	progress   *Progress
-	resumed    int
+	JobStatus
+	req        JobRequest
 	checkpoint *Checkpoint
 	userCancel bool
 	cancel     context.CancelFunc // set while running
-
-	submitted time.Time
-	started   *time.Time
-	finished  *time.Time
 
 	subs    map[int]chan Event
 	nextSub int
@@ -176,29 +167,20 @@ func New(cfg Config) (*Service, error) {
 
 	s.mu.Lock() // the queue gauge on reg may already be sampled
 	for _, rec := range recs {
-		j := &job{
-			id:         rec.ID,
-			req:        rec.Req,
-			state:      rec.State,
-			err:        rec.Error,
-			result:     rec.Result,
-			resumed:    rec.Resumed,
-			checkpoint: rec.Checkpoint,
-			submitted:  rec.Submitted,
-			subs:       make(map[int]chan Event),
-		}
+		j := &job{JobStatus: rec.JobStatus, req: rec.Req, checkpoint: rec.Checkpoint, subs: make(map[int]chan Event)}
+		j.Kind = rec.Req.Kind // older records carry no kind
 		if n, ok := parseJobID(rec.ID); ok && n >= s.nextID {
 			s.nextID = n + 1
 		}
-		if !j.state.Terminal() {
+		if !j.State.Terminal() {
 			// Queued and interrupted-running jobs alike go back on
 			// the queue, whatever its bound; campaigns pick up from
 			// their checkpoint.
-			j.state = StateQueued
+			j.State = StateQueued
 			s.enqueueLocked(j)
 		}
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
+		s.jobs[j.ID] = j
+		s.order = append(s.order, j.ID)
 	}
 	s.mu.Unlock()
 
@@ -237,16 +219,19 @@ func (s *Service) Submit(req JobRequest) (JobStatus, error) {
 		return JobStatus{}, ErrQueueFull
 	}
 	j := &job{
-		id:        fmt.Sprintf("j%06d", s.nextID),
-		req:       req,
-		state:     StateQueued,
-		submitted: time.Now().UTC(),
-		subs:      make(map[int]chan Event),
+		JobStatus: JobStatus{
+			ID:        fmt.Sprintf("j%06d", s.nextID),
+			Kind:      req.Kind,
+			State:     StateQueued,
+			Submitted: time.Now().UTC(),
+		},
+		req:  req,
+		subs: make(map[int]chan Event),
 	}
 	s.enqueueLocked(j)
 	s.nextID++
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
 	s.Metrics.JobsSubmitted.Inc()
 	s.persistLocked(j)
 	return s.statusLocked(j), nil
@@ -308,7 +293,7 @@ func (s *Service) Cancel(id string) (JobStatus, error) {
 	if !ok {
 		return JobStatus{}, ErrUnknownJob
 	}
-	switch j.state {
+	switch j.State {
 	case StateQueued:
 		j.userCancel = true
 		s.dequeueLocked(j)
@@ -335,7 +320,7 @@ func (s *Service) Watch(id string) (<-chan Event, func(), error) {
 		return nil, nil, ErrUnknownJob
 	}
 	ch := make(chan Event, 16)
-	if j.state.Terminal() {
+	if j.State.Terminal() {
 		close(ch)
 		return ch, func() {}, nil
 	}
@@ -365,7 +350,7 @@ func (s *Service) Drain(ctx context.Context) error {
 	s.draining = true
 	s.wake.Broadcast() // idle workers exit
 	s.mu.Unlock()
-	s.dist.setDraining() // workers learn via heartbeat/acquire responses
+	s.dist.setDraining() // parked and later lease acquires answer 503 draining
 	s.stop()             // interrupt running jobs at their next batch boundary
 
 	done := make(chan struct{})
@@ -390,19 +375,9 @@ func (s *Service) Close() error { return s.Drain(context.Background()) }
 
 // statusLocked snapshots a job. Callers hold s.mu.
 func (s *Service) statusLocked(j *job) JobStatus {
-	st := JobStatus{
-		ID:        j.id,
-		Kind:      j.req.Kind,
-		State:     j.state,
-		Error:     j.err,
-		Result:    j.result,
-		Resumed:   j.resumed,
-		Submitted: j.submitted,
-		Started:   j.started,
-		Finished:  j.finished,
-	}
-	if j.progress != nil {
-		p := *j.progress
+	st := j.JobStatus
+	if j.Progress != nil {
+		p := *j.Progress
 		st.Progress = &p
 	}
 	return st
@@ -411,21 +386,12 @@ func (s *Service) statusLocked(j *job) JobStatus {
 // persistLocked writes the job's durable record; persistence failures are
 // recorded on the job rather than crashing the worker.
 func (s *Service) persistLocked(j *job) {
-	rec := &jobRecord{
-		ID:         j.id,
-		Req:        j.req,
-		State:      j.state,
-		Error:      j.err,
-		Result:     j.result,
-		Resumed:    j.resumed,
-		Checkpoint: j.checkpoint,
-		Submitted:  j.submitted,
-	}
+	rec := &jobRecord{JobStatus: j.JobStatus, Req: j.req, Checkpoint: j.checkpoint}
 	sp := obs.StartSpan(s.Metrics.CheckpointNS)
 	err := s.store.save(rec)
 	sp.End()
-	if err != nil && j.err == "" {
-		j.err = fmt.Sprintf("checkpoint write failed: %v", err)
+	if err != nil && j.Error == "" {
+		j.Error = fmt.Sprintf("checkpoint write failed: %v", err)
 	}
 }
 
@@ -444,13 +410,13 @@ func (s *Service) publishLocked(j *job, ev Event) {
 // event stream.
 func (s *Service) finishLocked(j *job, state State, result *JobResult, errMsg string) {
 	now := time.Now().UTC()
-	j.state = state
-	j.result = result
-	j.err = errMsg
-	j.finished = &now
+	j.State = state
+	j.Result = result
+	j.Error = errMsg
+	j.Finished = &now
 	j.cancel = nil
-	if j.started != nil {
-		s.Metrics.JobRunNS.Observe(now.Sub(*j.started).Nanoseconds())
+	if j.Started != nil {
+		s.Metrics.JobRunNS.Observe(now.Sub(*j.Started).Nanoseconds())
 	}
 	switch state {
 	case StateDone:
@@ -480,7 +446,7 @@ func (s *Service) worker() {
 // runJob executes one dequeued job.
 func (s *Service) runJob(j *job) {
 	s.mu.Lock()
-	if j.state != StateQueued || s.draining {
+	if j.State != StateQueued || s.draining {
 		// Canceled between dequeue and start, or the service is shutting
 		// down; a drained job stays queued on disk for the next process.
 		s.mu.Unlock()
@@ -489,10 +455,10 @@ func (s *Service) runJob(j *job) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 	now := time.Now().UTC()
-	j.state = StateRunning
-	j.started = &now
+	j.State = StateRunning
+	j.Started = &now
 	j.cancel = cancel
-	s.Metrics.JobWaitNS.Observe(now.Sub(j.submitted).Nanoseconds())
+	s.Metrics.JobWaitNS.Observe(now.Sub(j.Submitted).Nanoseconds())
 	s.Metrics.JobsRunning.Add(1)
 	s.persistLocked(j)
 	st := s.statusLocked(j)
@@ -512,7 +478,7 @@ func (s *Service) runJob(j *job) {
 	case errors.Is(err, context.Canceled):
 		// Drain: back to queued with the checkpoint intact; the next
 		// process resumes from here.
-		j.state = StateQueued
+		j.State = StateQueued
 		j.cancel = nil
 		s.persistLocked(j)
 		st := s.statusLocked(j)
@@ -541,7 +507,7 @@ func (s *Service) runKind(ctx context.Context, j *job) (*JobResult, error) {
 	s.mu.Lock()
 	r := &jobRun{s: s, j: j, cp: j.checkpoint}
 	if r.cp != nil {
-		j.resumed++
+		j.Resumed++
 		s.Metrics.JobsResumed.Inc()
 	}
 	s.mu.Unlock()
@@ -568,7 +534,7 @@ func (s *Service) runKind(ctx context.Context, j *job) (*JobResult, error) {
 // before the first unit runs.
 func (r *jobRun) progress(p *Progress) {
 	r.s.mu.Lock()
-	r.j.progress = p
+	r.j.Progress = p
 	r.s.mu.Unlock()
 }
 
@@ -579,7 +545,7 @@ func (r *jobRun) progress(p *Progress) {
 func (r *jobRun) commit(cp *Checkpoint, p *Progress) {
 	s, j := r.s, r.j
 	s.mu.Lock()
-	j.checkpoint, j.progress = cp, p
+	j.checkpoint, j.Progress = cp, p
 	s.Metrics.Checkpoints.Inc()
 	s.persistLocked(j)
 	ev := *p

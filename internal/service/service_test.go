@@ -177,6 +177,8 @@ func TestSubmitRejectsWhatTheDesignCannotRun(t *testing.T) {
 		{"kfault sboxes [99]", sweep(MultiFaultSpec{Sboxes: []int{99}})},
 		{"persistent sboxes [99]", sweep(MultiFaultSpec{Mode: "persistent", Sboxes: []int{99}})},
 		{"cone S-box 99", sweep(MultiFaultSpec{Cone: &FaultSpec{Sbox: 99}})},
+		{"kfault k=3 over every site", sweep(MultiFaultSpec{K: 3})},
+		{"kfault k=9 over S-box 13", sweep(MultiFaultSpec{K: 9, Sboxes: []int{13}})},
 	}
 	s := newTestService(t, Config{Workers: 1})
 	srv := httptest.NewServer(s.Handler())
@@ -398,6 +400,38 @@ func TestRestartReenqueuesWholeBacklog(t *testing.T) {
 	}
 	for _, id := range []string{"j000003", "j000005"} {
 		s.Cancel(id)
+	}
+}
+
+// TestRestartKeepsJobStatus: a restarted service shows a finished job as
+// the process that ran it did — its state, result, progress and its
+// submission, start and finish times.
+func TestRestartKeepsJobStatus(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Workers: 1, StateDir: dir, CheckpointEveryRuns: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Submit(campaignRequest(128, "prime"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := waitTerminal(t, s, st.ID)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if before.State != StateDone || before.Result == nil || before.Progress == nil || before.Started == nil || before.Finished == nil {
+		t.Fatalf("finished job %+v lacks part of the status a restart must keep", before)
+	}
+
+	after, err := newTestService(t, Config{Workers: 1, StateDir: dir}).Get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := json.Marshal(before)
+	a, _ := json.Marshal(after)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("status after a restart\n %s\nwant\n %s", a, b)
 	}
 }
 
