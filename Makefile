@@ -123,11 +123,14 @@ e2e-multifault:
 # separation, and a daemon drained mid-evaluation must resume on restart
 # completing exactly the remaining trace batches — measured through
 # scone_leakage_batches_total — with t-statistics bit-identical to an
-# uninterrupted run.
+# uninterrupted run. The power probe's column counter must match the
+# per-set-bit reference loop and its pinned trace digest, allocate
+# nothing once warm, and reproduce EXPERIMENTS.md's leakage tables; a
+# leakage request over the pair cap is a 400.
 e2e-leakage:
 	$(GO) test -race -count=1 \
-		-run 'TestE2ELeakage|TestLeakage|TestFacadeLeakage|TestTTest' \
-		./internal/service/... ./internal/leakage/... ./internal/stats/... .
+		-run 'TestE2ELeakage|TestLeakage|TestFacadeLeakage|TestTTest|TestProbe|TestEngineProbeWidthParity|FuzzColumnCount|TestSubmitRejectsLeakagePairsOverTheCap' \
+		./internal/service/... ./internal/leakage/... ./internal/stats/... ./internal/power/... .
 
 # Static countermeasure audit (`sconectl lint`) on every cipher: the
 # synthesised three-in-one and correcting cores must lint clean for every
@@ -156,6 +159,6 @@ audit:
 
 # Replay the checked-in fuzz seed corpora (no open-ended fuzzing).
 fuzz:
-	$(GO) test -run=Fuzz ./internal/netlist ./internal/lint ./internal/store ./internal/prove ./internal/plan ./internal/service
+	$(GO) test -run=Fuzz ./internal/netlist ./internal/lint ./internal/store ./internal/prove ./internal/plan ./internal/service ./internal/power
 
 ci: fmt-check build lint test race coverage bench-smoke bench-test fuzz audit

@@ -68,7 +68,8 @@ func cmdSim(args []string, stdout, stderr io.Writer) error {
 	case "twofaults":
 		result, err = experiments.RunTwoBiasedFaults(cfg)
 	case "leakage":
-		// Uses -runs as traces per class (default 2048 when 80000).
+		// Each test collects 2·runs traces with a random class per trace,
+		// so about -runs per class (2048 when -runs is left at 80000).
 		if cfg.Runs == 80000 {
 			cfg.Runs = 2048
 		}

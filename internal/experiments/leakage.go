@@ -14,8 +14,8 @@ import (
 	"repro/internal/synth"
 )
 
-// Leakage assessment (an extension of the paper's Section IV-B-2). Three
-// Welch t-tests over Hamming-distance power traces:
+// Leakage assessment (an extension of the paper's Section IV-B-2). Five
+// Welch t-tests over power traces:
 //
 //  1. fixed-vs-random plaintext on the UNPROTECTED core — the sanity
 //     baseline: an unmasked cipher leaks massively;
@@ -24,12 +24,16 @@ import (
 //     beyond what the unmasked cipher already leaks (it is a fault
 //     countermeasure, not an SCA countermeasure, and composes with
 //     masking);
-//  3. λ=0 vs λ=1 with everything else fixed on the three-in-one core —
-//     quantifying the assumption the paper inherits from ACISP 2020: the
-//     encoding bit is visible to a power adversary (complemented wires
-//     flip the switching profile of the whole state), so λ's secrecy
-//     against a COMBINED power+fault adversary must come from a layered
-//     SCA countermeasure.
+//  3. λ=0 vs λ=1 with everything else fixed on the three-in-one core,
+//     under the Hamming-distance model, and
+//  4. the same under the Hamming-weight model — testing the assumption
+//     the paper inherits from ACISP 2020 that the encoding bit is visible
+//     to a power adversary. Globally it is not: the λ and ¬λ branches swap
+//     roles, so the union of wire activity is λ-invariant;
+//  5. λ=0 vs λ=1 under a localized EM probe (Hamming weight) over the
+//     actual branch only, where that balancing cannot help and λ is
+//     plainly visible — so λ's secrecy against a COMBINED power+fault
+//     adversary must come from a layered SCA countermeasure.
 
 // LeakageRow is one t-test outcome.
 type LeakageRow struct {
@@ -39,13 +43,14 @@ type LeakageRow struct {
 	Leaks   bool // |t| > 4.5 (TVLA convention)
 }
 
-// LeakageResult is the three-row assessment.
+// LeakageResult is the five-row assessment.
 type LeakageResult struct {
 	Rows []LeakageRow
 }
 
-// RunLeakage collects cfg.Runs traces per class per test (default trimmed
-// to 2048 for tractability) under the Hamming-distance model.
+// RunLeakage runs the five tests with 2·cfg.Runs traces each (cfg.Runs
+// outside 1..8192 becomes 2048), every trace's class drawn at random, so
+// each class holds about cfg.Runs traces.
 func RunLeakage(cfg Config) (LeakageResult, error) {
 	traces := cfg.Runs
 	if traces <= 0 || traces > 8192 {

@@ -33,6 +33,12 @@ import (
 // 0), odd lanes a random one (class 1).
 const PairsPerBatch = sim.Lanes / 2
 
+// MaxPairs caps an evaluation's pair count at 2^25 pairs: 2^26 traces,
+// the same simulation budget as a campaign's 2^26-run cap in the service.
+// It keeps the batch count, and every pair count derived from it, far
+// from integer overflow.
+const MaxPairs = 1 << 25
+
 // batchGamma derives batch b's seed as Seed ^ (b+1)*batchGamma — the
 // same splitmix golden-gamma derivation the campaign engine uses.
 const batchGamma = 0x9E3779B97F4A7C15
@@ -46,7 +52,7 @@ type Config struct {
 	// Model selects the power model (Hamming distance or weight).
 	Model power.Model
 	// Pairs is the number of fixed/random trace pairs to collect
-	// (before fault filtering).
+	// (before fault filtering), in 1..MaxPairs.
 	Pairs int
 	// Seed drives all randomness, batch-deterministically.
 	Seed uint64
@@ -114,8 +120,8 @@ func New(cfg Config) (*Evaluator, error) {
 	if cfg.Design == nil {
 		return nil, fmt.Errorf("leakage: nil design")
 	}
-	if cfg.Pairs <= 0 {
-		return nil, fmt.Errorf("leakage: need a positive pair count (got %d)", cfg.Pairs)
+	if cfg.Pairs <= 0 || cfg.Pairs > MaxPairs {
+		return nil, fmt.Errorf("leakage: need a pair count in 1..%d (got %d)", MaxPairs, cfg.Pairs)
 	}
 	r, err := core.NewRunner(cfg.Design)
 	if err != nil {

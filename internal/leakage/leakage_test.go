@@ -3,6 +3,7 @@ package leakage
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -150,6 +151,20 @@ func TestLeakageNewRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(Config{Design: d, Pairs: 0}); err == nil {
 		t.Fatal("New accepted a zero pair count")
+	}
+	// Over the cap, the batch count (Pairs+31)/32 would overflow at
+	// math.MaxInt and the evaluation would finish at once with no traces.
+	for _, pairs := range []int{MaxPairs + 1, math.MaxInt} {
+		if _, err := New(Config{Design: d, Pairs: pairs}); err == nil {
+			t.Fatalf("New accepted %d pairs, over the cap of %d", pairs, MaxPairs)
+		}
+	}
+	ev, err := New(Config{Design: d, Pairs: MaxPairs})
+	if err != nil {
+		t.Fatalf("New rejected the cap itself: %v", err)
+	}
+	if ev.NumBatches() != MaxPairs/PairsPerBatch {
+		t.Fatalf("%d batches at the cap, want %d", ev.NumBatches(), MaxPairs/PairsPerBatch)
 	}
 }
 

@@ -13,11 +13,18 @@
 // protection of λ must come from a dedicated SCA countermeasure layered on
 // top — either externally, as the paper presumes, or with the masked
 // scheme variant (core.SchemeMaskedDup) the leakage service jobs measure.
+//
+// The probe counts bit-sliced. Each cycle it gathers one 64-lane word per
+// sampled net (the toggles w ⊕ w_prev under Hamming distance, the values w
+// under Hamming weight) and folds the words with a carry-save adder tree
+// into bit planes that unpack into one count per lane, so a cycle costs a
+// few word operations per net whatever the switching activity. Samples go
+// into one buffer allocated on the first batch: Traces returns views of it
+// that stay valid until the next BeginBatch, and a warmed probed batch
+// allocates nothing.
 package power
 
 import (
-	mathbits "math/bits"
-
 	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/sim"
@@ -61,17 +68,25 @@ func ParseModel(token string) (Model, bool) {
 // bit-identical across widths, because each lane's sample only reduces that
 // lane's own net values.
 type EngineProbe[W sim.Word] struct {
-	r     *core.EngineRunner[W]
-	model Model
-	nets  int
-	lanes int
+	r      *core.EngineRunner[W]
+	model  Model
+	nets   int
+	lanes  int
+	cycles int
 	// prev[g*(nets+1)+n] is net n's previous-cycle word of lane group g.
 	prev []uint64
-	// include restricts sampling to a subset of nets (nil = all) — a
-	// localized EM probe rather than a global power measurement.
-	include []bool
-	// traces[lane] accumulates samples for the CURRENT batch.
-	traces [][]float64
+	// sampled lists the nets the probe reduces, in ascending order: every
+	// net, or the subset Restrict chose (a localized EM probe rather than
+	// a global power measurement).
+	sampled []netlist.Net
+	// words is the per-cycle scratch the sampled nets' words are gathered
+	// into.
+	words []uint64
+	// samples[lane*cycles+t] is the sample of lane at cycle t of the
+	// current batch, allocated on first use; traces[lane] views a lane's
+	// row of it.
+	samples []float64
+	traces  [][]float64
 }
 
 // Probe is the classic 64-lane probe; all pre-width-configuration call
@@ -89,12 +104,15 @@ func AttachEngine[W sim.Word](r *core.EngineRunner[W], model Model) *EngineProbe
 	lanes := r.S.LaneCount()
 	nets := r.D.Mod.NumNets()
 	p := &EngineProbe[W]{
-		r:     r,
-		model: model,
-		nets:  nets,
-		lanes: lanes,
-		prev:  make([]uint64, (lanes/64)*(nets+1)),
+		r:      r,
+		model:  model,
+		nets:   nets,
+		lanes:  lanes,
+		cycles: r.D.CyclesPerRun(),
+		prev:   make([]uint64, (lanes/64)*(nets+1)),
+		words:  make([]uint64, nets),
 	}
+	p.Restrict(nil)
 	r.CycleHook = p.sample
 	return p
 }
@@ -106,60 +124,135 @@ func (p *EngineProbe[W]) Detach() { p.r.CycleHook = nil }
 // probe over one part of the die (e.g. one of the two computations).
 // Passing nil restores the global view.
 func (p *EngineProbe[W]) Restrict(nets []netlist.Net) {
-	if nets == nil {
-		p.include = nil
-		return
+	var include []bool
+	if nets != nil {
+		include = make([]bool, p.nets+1)
+		for _, n := range nets {
+			if n > 0 && int(n) <= p.nets {
+				include[n] = true
+			}
+		}
 	}
-	p.include = make([]bool, p.nets+1)
-	for _, n := range nets {
-		if n > 0 && int(n) <= p.nets {
-			p.include[n] = true
+	p.sampled = p.sampled[:0]
+	for n := 1; n <= p.nets; n++ {
+		if include == nil || include[n] {
+			p.sampled = append(p.sampled, netlist.Net(n))
 		}
 	}
 }
 
-// BeginBatch resets the per-batch trace buffers; call before each
-// EncryptBatch whose traces should be captured.
+// BeginBatch starts a batch: it resets the Hamming-distance reference to
+// all-zero nets. Call it before each EncryptBatch whose traces should be
+// captured.
 func (p *EngineProbe[W]) BeginBatch() {
-	p.traces = make([][]float64, p.lanes)
-	for i := range p.prev {
-		p.prev[i] = 0
+	if p.samples == nil {
+		p.samples = make([]float64, p.lanes*p.cycles)
+		p.traces = make([][]float64, p.lanes)
+		for lane := range p.traces {
+			end := (lane + 1) * p.cycles
+			p.traces[lane] = p.samples[lane*p.cycles : end : end]
+		}
 	}
+	clear(p.prev)
 }
 
 // Traces returns the recorded traces of the last batch: traces[lane][t] is
-// the leakage sample of that lane at cycle t.
+// the leakage sample of that lane at cycle t. The traces are views of the
+// probe's one sample buffer, valid until the next BeginBatch: the next
+// batch overwrites them, so copy a trace to keep it longer.
 func (p *EngineProbe[W]) Traces() [][]float64 { return p.traces }
 
 // sample is the cycle hook: it reduces the simulator's net values into one
 // leakage sample per lane.
 func (p *EngineProbe[W]) sample(cycle int) {
 	s := p.r.S
-	groups := p.lanes / 64
-	perLane := make([]float64, p.lanes)
-	for g := 0; g < groups; g++ {
-		prev := p.prev[g*(p.nets+1) : (g+1)*(p.nets+1)]
-		base := g * 64
-		for n := 1; n <= p.nets; n++ {
-			if p.include != nil && !p.include[n] {
-				continue
-			}
-			w := s.NetWordGroup(netlist.Net(n), g)
-			var contrib uint64
-			if p.model == HammingDistance {
-				contrib = w ^ prev[n]
+	words := p.words[:len(p.sampled)]
+	var counts [64]uint32
+	for g := 0; g < p.lanes/64; g++ {
+		if p.model == HammingDistance {
+			prev := p.prev[g*(p.nets+1) : (g+1)*(p.nets+1)]
+			for i, n := range p.sampled {
+				w := s.NetWordGroup(n, g)
+				words[i] = w ^ prev[n]
 				prev[n] = w
-			} else {
-				contrib = w
 			}
-			for contrib != 0 {
-				lane := mathbits.TrailingZeros64(contrib)
-				perLane[base+lane]++
-				contrib &= contrib - 1
+		} else {
+			for i, n := range p.sampled {
+				words[i] = s.NetWordGroup(n, g)
 			}
 		}
+		columnCount(words, &counts)
+		out := p.samples[g*64*p.cycles+cycle:]
+		for lane, c := range counts {
+			out[lane*p.cycles] = float64(c)
+		}
 	}
-	for lane := 0; lane < p.lanes; lane++ {
-		p.traces[lane] = append(p.traces[lane], perLane[lane])
+}
+
+// csa is a carry-save adder over 64 bit-columns: for each column it adds
+// the bits of a, b and c into a sum bit l and a carry bit h.
+func csa(a, b, c uint64) (h, l uint64) {
+	u := a ^ b
+	return a&b | u&c, u ^ c
+}
+
+// columnCount sets counts[lane] to the number of words in ws whose bit lane
+// is set (len(ws) must stay below 2^32). It is the Harley–Seal population
+// count turned sideways: a carry-save adder tree folds each block of 16
+// words into the running bit planes ones, twos, fours and eights, every
+// carry out of the eights (one per 16 words) ripples into a bit-sliced
+// counter of sixteens, and the planes then unpack into one integer per
+// lane.
+func columnCount(ws []uint64, counts *[64]uint32) {
+	var ones, twos, fours, eights uint64
+	// sixteens[k] is bit k of every lane's count of sixteens; the planes
+	// below top can be non-zero.
+	var sixteens [28]uint64
+	top := 0
+	carry := func(c uint64) {
+		k := 0
+		for ; c != 0; k++ {
+			sixteens[k], c = sixteens[k]^c, sixteens[k]&c
+		}
+		top = max(top, k)
+	}
+	i := 0
+	for ; i+16 <= len(ws); i += 16 {
+		b := (*[16]uint64)(ws[i : i+16])
+		var twosA, twosB, foursA, foursB, eightsA, eightsB uint64
+		twosA, ones = csa(ones, b[0], b[1])
+		twosB, ones = csa(ones, b[2], b[3])
+		foursA, twos = csa(twos, twosA, twosB)
+		twosA, ones = csa(ones, b[4], b[5])
+		twosB, ones = csa(ones, b[6], b[7])
+		foursB, twos = csa(twos, twosA, twosB)
+		eightsA, fours = csa(fours, foursA, foursB)
+		twosA, ones = csa(ones, b[8], b[9])
+		twosB, ones = csa(ones, b[10], b[11])
+		foursA, twos = csa(twos, twosA, twosB)
+		twosA, ones = csa(ones, b[12], b[13])
+		twosB, ones = csa(ones, b[14], b[15])
+		foursB, twos = csa(twos, twosA, twosB)
+		eightsB, fours = csa(fours, foursA, foursB)
+		var c uint64
+		c, eights = csa(eights, eightsA, eightsB)
+		carry(c)
+	}
+	// The last len(ws)%16 words add one at a time, rippling through the
+	// planes.
+	for _, c := range ws[i:] {
+		ones, c = ones^c, ones&c
+		twos, c = twos^c, twos&c
+		fours, c = fours^c, fours&c
+		eights, c = eights^c, eights&c
+		carry(c)
+	}
+	for lane := range counts {
+		n := uint32(ones>>lane&1) | uint32(twos>>lane&1)<<1 |
+			uint32(fours>>lane&1)<<2 | uint32(eights>>lane&1)<<3
+		for k, plane := range sixteens[:top] {
+			n |= uint32(plane>>lane&1) << (4 + k)
+		}
+		counts[lane] = n
 	}
 }

@@ -180,7 +180,9 @@ type MultiFaultSpec struct {
 // randomness from (seed, b) — the campaign determinism contract — so the
 // job checkpoints at trace-batch boundaries and resumes bit-identically.
 type LeakageSpec struct {
-	// Pairs is the number of fixed/random trace pairs to collect.
+	// Pairs is the number of fixed/random trace pairs to collect, at most
+	// leakage.MaxPairs (maxRuns/2): a leakage job simulates at most as
+	// many traces as a campaign simulates runs.
 	Pairs int    `json:"pairs"`
 	Seed  U64    `json:"seed"`
 	Key   [2]U64 `json:"key"`
@@ -253,6 +255,8 @@ type JobRequest struct {
 // runs, over 800× the paper's 80,000-run campaigns. Registering a campaign
 // looks up every batch in the result store and cuts all of its leases under
 // one lock, and a results query scans every batch, so the cap bounds both.
+// A leakage job's pairs have the same 2^26-trace budget: leakage.MaxPairs
+// is maxRuns/2.
 const maxRuns = 1 << 26
 
 // Validate rejects malformed requests before they reach the queue; Submit
@@ -337,8 +341,8 @@ func (r *JobRequest) Validate() error {
 		if l == nil {
 			return fmt.Errorf("leakage job needs a leakage spec")
 		}
-		if l.Pairs <= 0 {
-			return fmt.Errorf("leakage needs a positive pair count (got %d)", l.Pairs)
+		if l.Pairs <= 0 || l.Pairs > leakage.MaxPairs {
+			return fmt.Errorf("leakage needs a pair count in 1..%d (got %d)", leakage.MaxPairs, l.Pairs)
 		}
 		if _, ok := power.ParseModel(l.Model); !ok {
 			return fmt.Errorf("unknown power model %q", l.Model)

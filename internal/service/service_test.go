@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/cipher/present"
 	"repro/internal/core"
+	"repro/internal/leakage"
 	"repro/internal/netlist"
 	"repro/internal/synth"
 )
@@ -117,11 +119,16 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 		{"attack negative bit", JobRequest{Kind: KindFTA, Attack: &AttackSpec{Bit: intp(-1)}}},
 		{"campaign runs over the cap", campaignRequest(maxRuns+1, "prime")},
 		{"multifault runs_per_tuple over the cap", JobRequest{Kind: KindMultiFault, MultiFault: &MultiFaultSpec{RunsPerTuple: maxRuns + 1}}},
+		{"leakage pairs over the cap", JobRequest{Kind: KindLeakage, Leakage: &LeakageSpec{Pairs: leakage.MaxPairs + 1}}},
+		{"leakage pairs at MaxInt", JobRequest{Kind: KindLeakage, Leakage: &LeakageSpec{Pairs: math.MaxInt}}},
 	}
 	for _, tc := range cases {
 		if err := tc.req.Validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+	if leakage.MaxPairs != maxRuns/2 {
+		t.Errorf("leakage.MaxPairs = %d, want maxRuns/2 = %d", leakage.MaxPairs, maxRuns/2)
 	}
 	ok := campaignRequest(100, "prime")
 	if err := ok.Validate(); err != nil {
@@ -130,6 +137,7 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 	atCap := []JobRequest{
 		campaignRequest(maxRuns, "prime"),
 		{Kind: KindMultiFault, MultiFault: &MultiFaultSpec{RunsPerTuple: maxRuns}},
+		{Kind: KindLeakage, Leakage: &LeakageSpec{Pairs: leakage.MaxPairs}},
 	}
 	for _, req := range atCap {
 		if err := req.Validate(); err != nil {
@@ -145,6 +153,36 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 }
 
 func intp(v int) *int { return &v }
+
+// A leakage request over the pair cap is a synchronous 400 invalid_request
+// naming the cap, and leaves no job record: at math.MaxInt pairs the
+// evaluator's batch count would overflow to a negative number and report
+// a passing verdict from no traces.
+func TestSubmitRejectsLeakagePairsOverTheCap(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	for _, pairs := range []int{leakage.MaxPairs + 1, math.MaxInt} {
+		body, err := json.Marshal(JobRequest{Kind: KindLeakage, Leakage: &LeakageSpec{Pairs: pairs, Key: testKey}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env errorEnvelope
+		_ = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != CodeInvalidRequest ||
+			!strings.Contains(env.Error.Message, "33554432") {
+			t.Errorf("%d pairs: HTTP %d %+v, want 400 %s naming the cap", pairs, resp.StatusCode, env.Error, CodeInvalidRequest)
+		}
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Fatalf("rejected submissions left %d job records", len(jobs))
+	}
+}
 
 // TestSubmitRejectsWhatTheDesignCannotRun submits requests that pass
 // Validate but address something the default PRESENT-80 core lacks: each
