@@ -92,9 +92,13 @@ e2e-dist:
 # (every batch a scone_store_hits_total hit) with bit-identical results for
 # all three entropy variants, extended campaigns must splice cached and
 # fresh batches bit-identically, and the distributed coordinator must grant
-# no leases for fully cached work.
+# no leases for fully cached work. The same log holds the job records: a
+# log cut at every offset of a job's last commit must resume bit-identically,
+# a broken legacy record must be skipped rather than stop startup, no job
+# record may grow with its job, a restart must keep every finished status,
+# and any bytes as the state log must open (seed corpus).
 e2e-store:
-	$(GO) test -race -count=1 -run 'TestE2EStore|TestStore|FuzzCampaignKey|FuzzBatchRecord|FuzzLogRecovery' \
+	$(GO) test -race -count=1 -run 'TestE2EStore|TestStore|TestJobLog|TestRestartKeepsJobStatus|FuzzCampaignKey|FuzzBatchRecord|FuzzLogRecovery|FuzzStateDirRecovery' \
 		./internal/service/... ./internal/store/...
 
 # Formal prover under the race detector: every single-fault location of

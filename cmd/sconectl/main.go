@@ -354,7 +354,7 @@ func requestFlags(fs *flag.FlagSet) func(args []string) (service.JobRequest, err
 	fixedPT := fs.String("fixed-pt", "0x0123456789ABCDEF", "leakage: the fixed class's plaintext")
 	withFault := fs.Bool("fault", false, "leakage: inject the -branch/-sbox/-bit/-model fault and keep only SIFA-usable traces")
 	models := fs.String("models", "", "prove: comma-separated fault models to prove (default: stuck-at-0,stuck-at-1,bit-flip)")
-	budget := fs.Int("budget", 0, "prove: BDD node budget (0 = prover default)")
+	budget := fs.Int("budget", 0, "prove: BDD node budget (0 = prover default, at most 2^24)")
 
 	return func(args []string) (service.JobRequest, error) {
 		if err := fs.Parse(args); err != nil {

@@ -74,7 +74,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sconed", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8344", "listen address")
-	state := fs.String("state", "", "state directory for job records and campaign checkpoints (empty: in-memory only)")
+	state := fs.String("state", "", "state directory for the state log: job records, checkpoints and stored results (empty: in-memory only)")
 	workers := fs.Int("workers", 2, "worker goroutines serving the job queue (jobs running concurrently)")
 	queueDepth := fs.Int("queue", 64, "queued-but-not-started job capacity")
 	ckptRuns := fs.Int("checkpoint-runs", 4096, "campaign checkpoint interval in simulated runs")
@@ -130,6 +130,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	})
 	if err != nil {
 		return err
+	}
+	if dropped, skipped := svc.Recovered(); dropped > 0 || skipped > 0 {
+		fmt.Fprintf(stdout, "sconed: state dir recovered: dropped %d corrupt log bytes, skipped %d job records\n", dropped, skipped)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/cipher/present"
 	"repro/internal/core"
@@ -261,6 +263,38 @@ func TestLeakageAssessmentShape(t *testing.T) {
 	}
 	if !res.Rows[4].Leaks {
 		t.Error("a branch-local EM probe must distinguish λ")
+	}
+}
+
+// TestLeakageTableColumnsAlign: the rendered assessment names both power
+// models in its title, and every row's traces column starts at the same
+// rune offset as the header's, however long or non-ASCII the row's name.
+func TestLeakageTableColumnsAlign(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Runs = 64
+	res, err := RunLeakage(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(res.String(), "\n")
+	if title := lines[0]; !strings.Contains(title, "Hamming-distance") || !strings.Contains(title, "Hamming-weight") {
+		t.Errorf("title %q does not name both power models", title)
+	}
+	// The traces field is right-aligned in 8 columns, so its column starts
+	// 8 runes before the end of the header's "traces" or of a row's count.
+	colStart := func(line, name, token string) int {
+		rest, ok := strings.CutPrefix(line, name)
+		i := strings.Index(rest, token)
+		if !ok || i < 0 {
+			t.Fatalf("line %q lacks %q after %q", line, token, name)
+		}
+		return utf8.RuneCountInString(name+rest[:i+len(token)]) - 8
+	}
+	want := colStart(lines[1], "test", "traces")
+	for i, row := range res.Rows {
+		if got := colStart(lines[2+i], row.Name, strconv.Itoa(row.Traces)); got != want {
+			t.Errorf("row %q: traces column starts at rune %d, the header's at %d", row.Name, got, want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/cipher/present"
 	"repro/internal/core"
@@ -178,13 +179,18 @@ func lambdaLocalized(cfg Config, d *core.Design, traces int) (LeakageRow, error)
 		func(gen *rng.Xoshiro, class int) uint64 { return uint64(class) })
 }
 
-// String renders the assessment.
+// String renders the assessment. The test column is as wide as the longest
+// name in runes, which is what fmt's width counts, so λ costs one column.
 func (r LeakageResult) String() string {
-	var sb strings.Builder
-	sb.WriteString("Leakage assessment (Welch t-test over Hamming-distance traces, TVLA bound 4.5)\n")
-	fmt.Fprintf(&sb, "%-48s %8s %10s %8s\n", "test", "traces", "max |t|", "leaks")
+	w := len("test")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&sb, "%-48s %8d %10.1f %8v\n", row.Name, row.Traces, row.MaxAbsT, row.Leaks)
+		w = max(w, utf8.RuneCountInString(row.Name))
+	}
+	var sb strings.Builder
+	sb.WriteString("Leakage assessment (Welch t-test over Hamming-distance traces, Hamming-weight where the row says so; TVLA bound 4.5)\n")
+	fmt.Fprintf(&sb, "%-*s %8s %10s %8s\n", w, "test", "traces", "max |t|", "leaks")
+	for _, row := range r.Rows {
+		fmt.Fprintf(&sb, "%-*s %8d %10.1f %8v\n", w, row.Name, row.Traces, row.MaxAbsT, row.Leaks)
 	}
 	sb.WriteString("\nReading: the unmasked cipher leaks with or without the countermeasure\n")
 	sb.WriteString("(it is a fault countermeasure; masking composes on top, §IV-B-2). In\n")

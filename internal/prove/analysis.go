@@ -43,10 +43,14 @@ type Analyzer struct {
 }
 
 // NewAnalyzer prepares an analyzer with the given node budget (0 means
-// DefaultBudget). It fails on modules outside the analysis model: ones
-// with combinational cycles, or sequential ones without the 1-bit load
-// port the register-initialisation argument needs.
+// DefaultBudget; more than MaxBudget is refused). It fails on modules
+// outside the analysis model: ones with combinational cycles, or sequential
+// ones without the 1-bit load port the register-initialisation argument
+// needs.
 func NewAnalyzer(m *netlist.Module, budget int) (*Analyzer, error) {
+	if budget > MaxBudget {
+		return nil, fmt.Errorf("prove: node budget %d exceeds the cap of %d", budget, MaxBudget)
+	}
 	if budget <= 0 {
 		budget = DefaultBudget
 	}

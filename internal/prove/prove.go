@@ -40,6 +40,12 @@ import (
 // the same ceiling the lint BDD rules run under.
 const DefaultBudget = 4 << 20
 
+// MaxBudget caps any requested node budget at 4 × DefaultBudget = 2^24 live
+// nodes: a ceiling on what one (location, model) pair may allocate, well
+// inside the int32 range of bdd.Node. Prove jobs accept uploaded netlists,
+// so the cap is what keeps a request from sizing the prover's memory.
+const MaxBudget = 4 * DefaultBudget
+
 // Check enumerates the three independence obligations proved per fault
 // location.
 type Check int

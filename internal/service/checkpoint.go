@@ -2,10 +2,7 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/stats"
@@ -27,21 +24,20 @@ type Checkpoint struct {
 }
 
 // ProveCheckpoint is the durable mid-flight state of a prove job. Proofs
-// are deterministic per (location, model) pair and the service walks the
-// pairs in a fixed order (locations outer, models inner), so the completed
-// prefix — the pairs in Done — plus the next pair index is sufficient to
-// resume without re-proving anything.
+// are deterministic per (location, model) pair and walked in a fixed order
+// (locations outer, models inner), so the completed pairs plus the next
+// pair index resume without re-proving anything. A commit logs only the
+// pairs since the previous one; the startup fold rebuilds the whole list.
 type ProveCheckpoint struct {
 	NextPair int             `json:"next_pair"`
 	Done     []ProveLocation `json:"done"`
 }
 
-// MultiFaultCheckpoint is the durable mid-flight state of a multifault job.
-// The plan's placement enumeration is deterministic and pruning is an
-// execution-time skip (never a renumbering), so the completed placements in
-// Done plus the next plan index resume the sweep exactly: every placement
-// campaign is itself seed-deterministic, and a placement interrupted
-// mid-campaign simply re-executes from its cached batches.
+// MultiFaultCheckpoint is the durable mid-flight state of a multifault job,
+// logged and folded like ProveCheckpoint. The plan's enumeration is
+// deterministic and pruning never renumbers, so the completed placements
+// plus the next plan index resume the sweep exactly; a placement
+// interrupted mid-campaign re-executes from its cached batches.
 type MultiFaultCheckpoint struct {
 	NextTuple int           `json:"next_tuple"`
 	Done      []TupleResult `json:"done"`
@@ -49,90 +45,121 @@ type MultiFaultCheckpoint struct {
 
 // LeakageCheckpoint is the durable mid-flight state of a leakage job.
 // Trace batch b draws all randomness from (seed, b), so the next batch
-// index plus the streaming t-test accumulator (whose float64 fields
-// round-trip JSON bit-exactly) resume the evaluation bit-identically —
-// the resumed job simulates exactly the remaining batches.
+// index plus the t-test accumulator (its float64s round-trip JSON exactly)
+// resume the evaluation bit-identically, simulating only what remains.
 type LeakageCheckpoint struct {
 	NextBatch int              `json:"next_batch"`
 	Discarded int              `json:"discarded"`
 	TTest     stats.TTestState `json:"ttest"`
 }
 
-// jobRecord is the on-disk form of a job: its status as GET /v1/jobs/{id}
-// shows it, the full request (jobs are defined by their requests — the
-// determinism contract) and, for the checkpointing kinds, the latest
-// checkpoint. Older records, which stored only part of the status, decode
-// unchanged: their keys are a subset of these.
+// jobRecord is one record of the state log, or a legacy jobs/<id>.json file:
+// the job's status, the request on its first record, and on commits the
+// cursor plus the units since the previous commit (a legacy file has all).
 type jobRecord struct {
 	JobStatus
-	Req        JobRequest  `json:"request"`
+	Req        *JobRequest `json:"request,omitempty"`
 	Checkpoint *Checkpoint `json:"checkpoint,omitempty"`
 }
 
-// jobStore persists job records under dir/jobs/<id>.json. A nil jobStore (no
-// state dir configured) turns every operation into a no-op: the service
-// then runs purely in memory.
-type jobStore struct {
-	dir string
-}
-
-func openJobStore(dir string) (*jobStore, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
-		return nil, fmt.Errorf("service: state dir: %w", err)
-	}
-	return &jobStore{dir: dir}, nil
-}
-
-func (st *jobStore) path(id string) string {
-	return filepath.Join(st.dir, "jobs", id+".json")
-}
-
-// save writes atomically (temp file + rename) so a kill mid-write can never
-// corrupt a record: the previous checkpoint stays intact.
-func (st *jobStore) save(rec *jobRecord) error {
-	if st == nil {
-		return nil
-	}
-	b, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := st.path(rec.ID) + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, st.path(rec.ID))
-}
-
-// loadAll returns every persisted record sorted by ID (IDs are zero-padded
-// sequence numbers, so this is submission order).
-func (st *jobStore) loadAll() ([]*jobRecord, error) {
-	if st == nil {
-		return nil, nil
-	}
-	entries, err := os.ReadDir(filepath.Join(st.dir, "jobs"))
-	if err != nil {
-		return nil, err
-	}
-	var recs []*jobRecord
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(st.dir, "jobs", name))
-		if err != nil {
-			return nil, err
-		}
+// loadJobsLocked folds the state dir's job records — the legacy files, then
+// the log in order — and requeues every unfinished job, whatever the queue
+// bound. A record that does not decode or fit its job is skipped and
+// counted, never fatal.
+func (s *Service) loadJobsLocked(legacy [][]byte) {
+	for _, b := range append(legacy, s.results.Jobs()...) {
 		var rec jobRecord
-		if err := json.Unmarshal(b, &rec); err != nil {
-			return nil, fmt.Errorf("service: corrupt job record %s: %w", name, err)
+		if json.Unmarshal(b, &rec) != nil || !s.foldLocked(&rec) {
+			s.Metrics.JobRecordsSkipped.Inc()
 		}
-		recs = append(recs, &rec)
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
-	return recs, nil
+	for _, id := range s.order {
+		if j := s.jobs[id]; !j.State.Terminal() {
+			j.State = StateQueued // an interrupted run resumes from its checkpoint
+			s.enqueueLocked(j)
+		}
+	}
+}
+
+// foldLocked applies one record to its job: the status supersedes the
+// job's, a request starts the job afresh, and a checkpoint's units fill
+// positions [next − len(done), next) of the unit list, which a terminal
+// result takes back. It reports false for no job or a gap in the units.
+func (s *Service) foldLocked(rec *jobRecord) bool {
+	j, seen := s.jobs[rec.ID]
+	if rec.Req != nil {
+		j = &job{req: *rec.Req, subs: make(map[int]chan Event)}
+	}
+	if j == nil || rec.ID == "" {
+		return false
+	}
+	cp := j.checkpoint
+	if in := rec.Checkpoint; in != nil {
+		locs, tuples := cp.units()
+		ok := true
+		if p := in.Prove; p != nil {
+			p.Done, ok = splice(locs, p.NextPair, p.Done)
+		}
+		if m := in.MultiFault; m != nil && ok {
+			m.Done, ok = splice(tuples, m.NextTuple, m.Done)
+		}
+		if !ok {
+			return false
+		}
+		cp = in
+	}
+	if r := rec.Result; r != nil {
+		locs, tuples := cp.units()
+		if r.Prove != nil && r.Prove.Locations == nil {
+			r.Prove.Locations = locs
+		}
+		if r.MultiFault != nil && r.MultiFault.Tuples == nil {
+			r.MultiFault.Tuples = tuples
+		}
+	}
+	if !seen {
+		s.order = append(s.order, rec.ID)
+		if n, err := strconv.Atoi(strings.TrimPrefix(rec.ID, "j")); err == nil && n >= s.nextID {
+			s.nextID = n + 1
+		}
+	}
+	s.jobs[rec.ID], j.JobStatus, j.checkpoint = j, rec.JobStatus, cp
+	j.Kind = j.req.Kind // older records carry no kind
+	return true
+}
+
+// units returns a checkpoint's unit lists; nil-safe.
+func (cp *Checkpoint) units() (locs []ProveLocation, tuples []TupleResult) {
+	if cp != nil && cp.Prove != nil {
+		locs = cp.Prove.Done
+	}
+	if cp != nil && cp.MultiFault != nil {
+		tuples = cp.MultiFault.Done
+	}
+	return locs, tuples
+}
+
+func splice[T any](units []T, next int, done []T) ([]T, bool) {
+	start := next - len(done)
+	if start < 0 || start > len(units) {
+		return nil, false
+	}
+	return append(units[:start], done...), true
+}
+
+// withoutUnits leaves out a terminal result's unit list: its commits have it.
+func withoutUnits(r *JobResult) *JobResult {
+	if r == nil || (r.MultiFault == nil && r.Prove == nil) {
+		return r
+	}
+	c := *r
+	if c.MultiFault != nil {
+		m := *c.MultiFault
+		m.Tuples, c.MultiFault = nil, &m
+	}
+	if c.Prove != nil {
+		p := *c.Prove
+		p.Locations, c.Prove = nil, &p
+	}
+	return &c
 }

@@ -246,3 +246,93 @@ func TestE2ELegacyStateDirResumes(t *testing.T) {
 		t.Errorf("lane_words submission: status %d code %q, want 400 %s", status, code, service.CodeInvalidRequest)
 	}
 }
+
+// TestJobLogSkipsBrokenLegacyRecords: a torn legacy record no longer stops
+// startup. Beside the valid legacy campaign of TestE2ELegacyStateDirResumes,
+// an empty or a half-written jobs/j000001.json is skipped and counted; the
+// valid job resumes and finishes with the direct tally, and the legacy files
+// are left as they were.
+func TestJobLogSkipsBrokenLegacyRecords(t *testing.T) {
+	req := e2eRequest(e2eRuns, "per-round")
+	camp, err := service.BuildCampaign(req.Design, req.Campaign, service.EngineDefaults{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	defer cancel()
+	prefix, err := camp.ExecuteBatchesFunc(ctx, 0, legacyDoneBatches, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts, err := json.Marshal(service.NewCampaignResult(prefix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := camp.Execute(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := fmt.Sprintf(legacyJobRecord, e2eRuns, legacyDoneBatches, counts)
+	next := strings.Replace(valid, "j000000", "j000001", 1)
+	for _, tc := range []struct{ name, broken string }{
+		{"empty", ""},
+		{"half-written", next[:len(next)/2]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stateDir := t.TempDir()
+			jobs := filepath.Join(stateDir, "jobs")
+			files := map[string]string{"j000000.json": valid, "j000001.json": tc.broken}
+			if err := os.MkdirAll(jobs, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for name, body := range files {
+				if err := os.WriteFile(filepath.Join(jobs, name), []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			svc, err := service.New(service.Config{Workers: 1, CheckpointEveryRuns: 64, StateDir: stateDir})
+			if err != nil {
+				t.Fatalf("New with a broken legacy record: %v", err)
+			}
+			defer svc.Close()
+			if _, skipped := svc.Recovered(); skipped != 1 {
+				t.Errorf("Recovered reports %d skipped records, want 1", skipped)
+			}
+			if n := svc.Metrics.JobRecordsSkipped.Value(); n != 1 {
+				t.Errorf("scone_service_job_records_skipped_total = %d, want 1", n)
+			}
+			final := waitService(t, svc, "j000000")
+			if final.State != service.StateDone || final.Result == nil || final.Result.Campaign == nil {
+				t.Fatalf("legacy job ended %q (%s)", final.State, final.Error)
+			}
+			if got := *final.Result.Campaign; got != service.NewCampaignResult(want) {
+				t.Errorf("resumed legacy job: %+v, want %+v", got, service.NewCampaignResult(want))
+			}
+			if n := len(svc.List()); n != 1 {
+				t.Errorf("%d jobs listed, want the valid legacy job alone", n)
+			}
+			for name, body := range files {
+				if b, err := os.ReadFile(filepath.Join(jobs, name)); err != nil || string(b) != body {
+					t.Errorf("legacy %s changed on disk (err %v)", name, err)
+				}
+			}
+		})
+	}
+}
+
+// waitService polls a service until the job is terminal.
+func waitService(t *testing.T, svc *service.Service, id string) service.JobStatus {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Minute); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		st, err := svc.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State.Terminal() {
+			return st
+		}
+	}
+	t.Fatalf("job %s did not finish", id)
+	return service.JobStatus{}
+}

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/fault"
@@ -71,6 +73,42 @@ func FuzzCheckCompletion(f *testing.F) {
 		}
 		if err == nil && got != sum {
 			t.Fatalf("accepted report merged to %+v, want the sum of its tallies %+v", got, sum)
+		}
+	})
+}
+
+// FuzzStateDirRecovery opens a service over arbitrary bytes as its state
+// log. Whatever they are, New must succeed — damage costs what was logged
+// after it, never the daemon — and the service must list its jobs and
+// close. The seeds are a real log of a drained campaign and a drained sweep
+// (batch, run and job records), cuts of it, and garbage.
+func FuzzStateDirRecovery(f *testing.F) {
+	dir := f.TempDir()
+	drainMidRun(f, Config{Workers: 2, SimWorkers: 1, CheckpointEveryRuns: 64, StateDir: dir}, tornJobs()...)
+	log, frames := readLog(f, dir)
+	f.Add(log)
+	for _, fr := range frames[len(frames)/2:] {
+		f.Add(log[:fr.off+(fr.end-fr.off)/2])
+	}
+	f.Add(log[:len(log)-1])
+	f.Add([]byte("not a log at all"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "results.log"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Workers: 1, SimWorkers: 1, StateDir: dir})
+		if err != nil {
+			t.Fatalf("New on an arbitrary state log: %v", err)
+		}
+		for _, st := range s.List() {
+			if st.ID == "" {
+				t.Errorf("listed a job without an ID: %+v", st)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

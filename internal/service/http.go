@@ -105,30 +105,21 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		writeStatus(w, http.StatusOK, map[string]any{"jobs": s.List()})
 	})
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleCancel)
+	mux.HandleFunc("GET /v1/jobs/{id}", idHandler(s.Get))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", idHandler(s.Cancel))
+	mux.HandleFunc("POST /v1/jobs/{id}/cancel", idHandler(s.Cancel))
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
 	mux.HandleFunc("POST /v1/results", jobRequestHandler(http.StatusOK, s.Results))
 	mux.HandleFunc("GET /v1/runs", func(w http.ResponseWriter, r *http.Request) {
 		writeStatus(w, http.StatusOK, map[string]any{"runs": s.StoredRuns()})
 	})
-	mux.HandleFunc("GET /v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		rec, err := s.StoredRun(r.PathValue("id"))
-		if err != nil {
-			writeError(w, http.StatusNotFound, CodeNotFound, err)
-			return
-		}
-		writeStatus(w, http.StatusOK, rec)
+	mux.HandleFunc("GET /v1/runs/{id}", idHandler(s.StoredRun))
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		writeStatus(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.registerDist(mux)
 	return mux
-}
-
-func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeStatus(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleMetrics serves the full registry in Prometheus text exposition
@@ -176,22 +167,17 @@ func jobRequestHandler[T any](success int, call func(JobRequest) (T, error)) htt
 	}
 }
 
-func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Get(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, CodeNotFound, err)
-		return
+// idHandler serves a lookup (or cancel) by the {id} path value; every
+// error it can return names an unknown ID, so it answers 404.
+func idHandler[T any](call func(id string) (T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		out, err := call(r.PathValue("id"))
+		if err != nil {
+			writeError(w, http.StatusNotFound, CodeNotFound, err)
+			return
+		}
+		writeStatus(w, http.StatusOK, out)
 	}
-	writeStatus(w, http.StatusOK, st)
-}
-
-func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, CodeNotFound, err)
-		return
-	}
-	writeStatus(w, http.StatusOK, st)
 }
 
 // streamHandler serves the NDJSON progress feed: one status snapshot, then

@@ -234,8 +234,9 @@ type ProveSpec struct {
 	// Models restricts the fault models proved per location
 	// ("stuck-at-0", "stuck-at-1", "bit-flip"); empty means all three.
 	Models []string `json:"models,omitempty"`
-	// Budget caps the BDD manager's live node count; 0 means the
-	// prover default. Exceeding it yields unknown verdicts, not failure.
+	// Budget caps the BDD manager's live node count, at most
+	// prove.MaxBudget; 0 means the prover default. Exceeding it yields
+	// unknown verdicts, not failure.
 	Budget int `json:"budget,omitempty"`
 }
 
@@ -359,8 +360,8 @@ func (r *JobRequest) Validate() error {
 					return fmt.Errorf("prove model %d: %w", i, err)
 				}
 			}
-			if p.Budget < 0 {
-				return fmt.Errorf("prove needs a non-negative node budget (got %d)", p.Budget)
+			if p.Budget < 0 || p.Budget > prove.MaxBudget {
+				return fmt.Errorf("prove needs a node budget in 0..%d (got %d)", prove.MaxBudget, p.Budget)
 			}
 		}
 	default:

@@ -87,13 +87,11 @@ func (r *jobRun) prove(ctx context.Context) (*JobResult, error) {
 	total := len(locs) * len(models)
 
 	res := &ProveResult{Module: m.Name, Budget: a.Budget()}
-	start := 0
-	if r.cp != nil && r.cp.Prove != nil {
-		start = r.cp.Prove.NextPair
-		for _, l := range r.cp.Prove.Done {
-			res.Accumulate(l)
-		}
+	done, _ := r.cp.units() // the fold holds one unit per pair before the cursor
+	for _, l := range done {
+		res.Accumulate(l)
 	}
+	start := len(done)
 	r.progress(&Progress{Done: start, Total: total})
 	for pair := start; pair < total; pair++ {
 		if err := ctx.Err(); err != nil {
@@ -103,9 +101,9 @@ func (r *jobRun) prove(ctx context.Context) (*JobResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Accumulate(NewProveLocation(lr))
-		done := append([]ProveLocation(nil), res.Locations...)
-		r.commit(&Checkpoint{Prove: &ProveCheckpoint{NextPair: pair + 1, Done: done}}, &Progress{Done: pair + 1, Total: total})
+		loc := NewProveLocation(lr)
+		res.Accumulate(loc)
+		r.commit(&Checkpoint{Prove: &ProveCheckpoint{NextPair: pair + 1, Done: []ProveLocation{loc}}}, &Progress{Done: pair + 1, Total: total})
 	}
 	return &JobResult{Prove: res}, nil
 }

@@ -16,13 +16,14 @@ import (
 type Metrics struct {
 	reg *obs.Registry
 
-	JobsSubmitted *obs.Counter
-	JobsCompleted *obs.Counter
-	JobsFailed    *obs.Counter
-	JobsCanceled  *obs.Counter
-	JobsResumed   *obs.Counter
-	Checkpoints   *obs.Counter
-	RunsSimulated *obs.Counter
+	JobsSubmitted     *obs.Counter
+	JobsCompleted     *obs.Counter
+	JobsFailed        *obs.Counter
+	JobsCanceled      *obs.Counter
+	JobsResumed       *obs.Counter
+	Checkpoints       *obs.Counter
+	JobRecordsSkipped *obs.Counter // undecodable or misfit records at startup
+	RunsSimulated     *obs.Counter
 	// RunsReplayed counts campaign runs whose batch results came from the
 	// result store; RunsSimulated counts only freshly simulated runs, so
 	// the two partition a job's progress by where the work happened.
@@ -32,7 +33,8 @@ type Metrics struct {
 	QueueDepth    *obs.Gauge
 
 	// JobWaitNS measures submission-to-start queueing latency, JobRunNS the
-	// start-to-terminal execution time, CheckpointNS one durable state write.
+	// start-to-terminal execution time, CheckpointNS one job-record append
+	// (encode and write) to the state log.
 	JobWaitNS    *obs.Histogram
 	JobRunNS     *obs.Histogram
 	CheckpointNS *obs.Histogram
@@ -63,6 +65,8 @@ func newMetrics(reg *obs.Registry, queueLen func() int, c *coordinator) *Metrics
 		JobsCanceled:  reg.NewCounter("scone_service_jobs_canceled_total", "Jobs finished in StateCanceled"),
 		JobsResumed:   reg.NewCounter("scone_service_jobs_resumed_total", "Campaign executions resumed from a checkpoint"),
 		Checkpoints:   reg.NewCounter("scone_service_checkpoints_total", "Campaign checkpoints persisted"),
+		JobRecordsSkipped: reg.NewCounter("scone_service_job_records_skipped_total",
+			"Job records skipped at startup because they did not decode or fit their job"),
 		RunsSimulated: reg.NewCounter("scone_service_runs_simulated_total", "Campaign runs simulated across all jobs"),
 		RunsReplayed:  reg.NewCounter("scone_service_runs_replayed_total", "Campaign runs served from the result store across all jobs"),
 		StreamClients: reg.NewGauge("scone_service_stream_clients_count", "Connected NDJSON stream consumers"),
@@ -71,7 +75,7 @@ func newMetrics(reg *obs.Registry, queueLen func() int, c *coordinator) *Metrics
 			func() int64 { return int64(queueLen()) }),
 		JobWaitNS:    reg.NewHistogram("scone_service_job_wait_ns", "Queueing latency from Submit to job start", obs.LatencyBuckets()),
 		JobRunNS:     reg.NewHistogram("scone_service_job_run_ns", "Execution time from job start to terminal state", obs.LatencyBuckets()),
-		CheckpointNS: reg.NewHistogram("scone_service_checkpoint_ns", "Durable job-record write time", obs.ExpBuckets(16_000, 4, 12)),
+		CheckpointNS: reg.NewHistogram("scone_service_checkpoint_ns", "Job-record append time", obs.ExpBuckets(16_000, 4, 12)),
 
 		WorkersJoined:    reg.NewCounter("scone_service_workers_joined_total", "Workers registered via /v1/workers/join"),
 		Heartbeats:       reg.NewCounter("scone_service_heartbeats_total", "Worker heartbeats received"),

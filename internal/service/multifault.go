@@ -53,13 +53,11 @@ func (r *jobRun) multiFault(ctx context.Context) (*JobResult, error) {
 		return nil, err
 	}
 
-	start := 0
-	if r.cp != nil && r.cp.MultiFault != nil {
-		start = r.cp.MultiFault.NextTuple
-		for _, tr := range r.cp.MultiFault.Done {
-			res.Accumulate(tr)
-		}
+	_, done := r.cp.units() // the fold holds one unit per placement before the cursor
+	for _, tr := range done {
+		res.Accumulate(tr)
 	}
+	start := len(done)
 	r.progress(&Progress{Done: start, Total: res.Planned, Counts: res.Totals})
 	for idx := start; idx < len(placements); idx++ {
 		if err := ctx.Err(); err != nil {
@@ -75,8 +73,7 @@ func (r *jobRun) multiFault(ctx context.Context) (*JobResult, error) {
 			tr.Counts = counts
 		}
 		res.Accumulate(tr)
-		done := append([]TupleResult(nil), res.Tuples...)
-		r.commit(&Checkpoint{MultiFault: &MultiFaultCheckpoint{NextTuple: idx + 1, Done: done}},
+		r.commit(&Checkpoint{MultiFault: &MultiFaultCheckpoint{NextTuple: idx + 1, Done: []TupleResult{tr}}},
 			&Progress{Done: idx + 1, Total: res.Planned, Counts: res.Totals})
 	}
 	return &JobResult{MultiFault: res}, nil

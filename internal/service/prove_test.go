@@ -1,8 +1,13 @@
 package service
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/netlist"
+	"repro/internal/prove"
 )
 
 // proveFixtureNL mirrors the linter's seeded sifa_cond_bias fixture: both
@@ -32,11 +37,26 @@ func TestProveValidation(t *testing.T) {
 	}{
 		{"bad model", JobRequest{Kind: KindProve, Prove: &ProveSpec{Models: []string{"gamma-ray"}}}},
 		{"negative budget", JobRequest{Kind: KindProve, Prove: &ProveSpec{Budget: -1}}},
+		{"budget over the cap", JobRequest{Kind: KindProve, Prove: &ProveSpec{Budget: prove.MaxBudget + 1}}},
+		{"budget max int", JobRequest{Kind: KindProve, Prove: &ProveSpec{Budget: math.MaxInt}}},
 	}
 	for _, tc := range bad {
 		if err := tc.req.Validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+	// Over the cap is refused by the service's submission path with the cap
+	// in the message, before a job exists, and by the prover itself.
+	s := newTestService(t, Config{Workers: 1})
+	if _, err := s.Submit(JobRequest{Kind: KindProve, Prove: &ProveSpec{Budget: prove.MaxBudget + 1}}); err == nil ||
+		!strings.Contains(err.Error(), strconv.Itoa(prove.MaxBudget)) {
+		t.Errorf("over-cap submission: %v, want an error naming the cap %d", err, prove.MaxBudget)
+	}
+	if n := len(s.List()); n != 0 {
+		t.Errorf("over-cap submission created %d jobs", n)
+	}
+	if _, err := prove.NewAnalyzer(&netlist.Module{Name: "empty"}, prove.MaxBudget+1); err == nil {
+		t.Error("prove.NewAnalyzer accepted a budget over the cap")
 	}
 	ok := []struct {
 		name string
@@ -45,6 +65,7 @@ func TestProveValidation(t *testing.T) {
 		{"inline netlist", JobRequest{Kind: KindProve, Design: DesignSpec{Netlist: proveFixtureNL}}},
 		{"no spec", JobRequest{Kind: KindProve}},
 		{"full spec", JobRequest{Kind: KindProve, Prove: &ProveSpec{Models: []string{"stuck-at-0", "bit-flip"}, Budget: 1 << 16}}},
+		{"budget at the cap", JobRequest{Kind: KindProve, Prove: &ProveSpec{Budget: prove.MaxBudget}}},
 	}
 	for _, tc := range ok {
 		if err := tc.req.Validate(); err != nil {

@@ -2,11 +2,12 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
@@ -24,8 +25,8 @@ type Config struct {
 	// ErrQueueFull beyond it. Default 64. A restart re-enqueues every
 	// unfinished job on disk, whatever the bound.
 	QueueDepth int
-	// StateDir persists job records and campaign checkpoints; "" runs
-	// in memory only (no resume across restarts).
+	// StateDir holds the state log, results.log: job records, checkpoints
+	// and stored results. "" runs in memory only (no resume on restart).
 	StateDir string
 	// CheckpointEveryRuns is the campaign checkpoint/progress interval
 	// in simulated runs; rounded up to whole sim.Lanes batches. Without
@@ -75,9 +76,9 @@ func (c Config) engineDefaults() EngineDefaults {
 var ErrUnknownJob = errors.New("service: unknown job")
 
 // job is the in-memory state of one job: its wire status plus its request,
-// checkpoint, cancel function and stream subscribers. All mutable fields
-// are guarded by Service.mu; the campaign hot loop runs without it and
-// communicates through per-chunk callbacks.
+// the checkpoint it resumes from, cancel function and stream subscribers.
+// All mutable fields are guarded by Service.mu; the campaign hot loop runs
+// without it and communicates through per-chunk callbacks.
 type job struct {
 	JobStatus
 	req        JobRequest
@@ -100,10 +101,10 @@ type Service struct {
 	baseCtx context.Context
 	stop    context.CancelFunc
 
-	// results is the content-addressed campaign result store (StateDir/
-	// results.log); nil without a StateDir. Every store method is nil-safe,
-	// so the storeless service runs the same code path with every lookup a
-	// miss.
+	// results is the state log (StateDir/results.log): the content-
+	// addressed campaign result store and the job records. nil without a
+	// StateDir; every store method is nil-safe, so the storeless service
+	// runs the same code path with every lookup a miss.
 	results *store.Store
 
 	mu       sync.Mutex
@@ -112,7 +113,6 @@ type Service struct {
 	nextID   int
 	pending  []*job     // the job queue, oldest first (see queue.go)
 	wake     *sync.Cond // on mu: a job was queued or drain began
-	store    *jobStore
 	draining bool
 
 	wg sync.WaitGroup
@@ -122,15 +122,6 @@ type Service struct {
 // starts the worker pool.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
-	st, err := openJobStore(cfg.StateDir)
-	if err != nil {
-		return nil, err
-	}
-	recs, err := st.loadAll()
-	if err != nil {
-		return nil, err
-	}
-
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -141,10 +132,10 @@ func New(cfg Config) (*Service, error) {
 		baseCtx: ctx,
 		stop:    cancel,
 		jobs:    make(map[string]*job),
-		store:   st,
 		designs: NewDesignCache(),
 	}
 	s.wake = sync.NewCond(&s.mu)
+	var legacy [][]byte // an older daemon's jobs/*.json: read, never written
 	if cfg.StateDir != "" {
 		rs, err := store.Open(filepath.Join(cfg.StateDir, "results.log"))
 		if err != nil {
@@ -153,6 +144,11 @@ func New(cfg Config) (*Service, error) {
 		}
 		rs.EnableObservability(reg)
 		s.results = rs
+		names, _ := filepath.Glob(filepath.Join(cfg.StateDir, "jobs", "*.json"))
+		for _, name := range names {
+			b, _ := os.ReadFile(name)
+			legacy = append(legacy, b)
+		}
 	}
 	dc := cfg.Dist
 	if !dc.Enabled {
@@ -166,22 +162,7 @@ func New(cfg Config) (*Service, error) {
 	go s.dist.janitor(ctx.Done())
 
 	s.mu.Lock() // the queue gauge on reg may already be sampled
-	for _, rec := range recs {
-		j := &job{JobStatus: rec.JobStatus, req: rec.Req, checkpoint: rec.Checkpoint, subs: make(map[int]chan Event)}
-		j.Kind = rec.Req.Kind // older records carry no kind
-		if n, ok := parseJobID(rec.ID); ok && n >= s.nextID {
-			s.nextID = n + 1
-		}
-		if !j.State.Terminal() {
-			// Queued and interrupted-running jobs alike go back on
-			// the queue, whatever its bound; campaigns pick up from
-			// their checkpoint.
-			j.State = StateQueued
-			s.enqueueLocked(j)
-		}
-		s.jobs[j.ID] = j
-		s.order = append(s.order, j.ID)
-	}
+	s.loadJobsLocked(legacy)
 	s.mu.Unlock()
 
 	for w := 0; w < cfg.Workers; w++ {
@@ -189,17 +170,6 @@ func New(cfg Config) (*Service, error) {
 		go s.worker()
 	}
 	return s, nil
-}
-
-func parseJobID(id string) (int, bool) {
-	if len(id) < 2 || id[0] != 'j' {
-		return 0, false
-	}
-	n, err := strconv.Atoi(id[1:])
-	if err != nil {
-		return 0, false
-	}
-	return n, true
 }
 
 // Submit validates and enqueues a job, returning its initial status.
@@ -228,12 +198,14 @@ func (s *Service) Submit(req JobRequest) (JobStatus, error) {
 		req:  req,
 		subs: make(map[int]chan Event),
 	}
+	if err := s.logLocked(j, &req, nil); errors.Is(err, store.ErrTooLarge) {
+		return JobStatus{}, fmt.Errorf("invalid request: %w", err)
+	}
 	s.enqueueLocked(j)
 	s.nextID++
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
 	s.Metrics.JobsSubmitted.Inc()
-	s.persistLocked(j)
 	return s.statusLocked(j), nil
 }
 
@@ -330,9 +302,7 @@ func (s *Service) Watch(id string) (<-chan Event, func(), error) {
 	off := func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if _, live := j.subs[key]; live {
-			delete(j.subs, key) // publisher holds mu, so no send can race this
-		}
+		delete(j.subs, key) // publisher holds mu, so no send can race this
 	}
 	return ch, off, nil
 }
@@ -383,16 +353,31 @@ func (s *Service) statusLocked(j *job) JobStatus {
 	return st
 }
 
-// persistLocked writes the job's durable record; persistence failures are
-// recorded on the job rather than crashing the worker.
-func (s *Service) persistLocked(j *job) {
-	rec := &jobRecord{JobStatus: j.JobStatus, Req: j.req, Checkpoint: j.checkpoint}
+// logLocked appends a job record — status, plus the request at submit or a
+// commit's checkpoint delta — without syncing (commit syncs outside s.mu).
+// A failure is recorded on the job rather than crashing the worker.
+func (s *Service) logLocked(j *job, req *JobRequest, cp *Checkpoint) error {
+	if s.results == nil {
+		return nil
+	}
+	rec := jobRecord{JobStatus: j.JobStatus, Req: req, Checkpoint: cp}
+	rec.Result = withoutUnits(rec.Result)
 	sp := obs.StartSpan(s.Metrics.CheckpointNS)
-	err := s.store.save(rec)
+	b, err := json.Marshal(&rec)
+	if err == nil {
+		err = s.results.PutJob(b)
+	}
 	sp.End()
 	if err != nil && j.Error == "" {
 		j.Error = fmt.Sprintf("checkpoint write failed: %v", err)
 	}
+	return err
+}
+
+// Recovered reports what opening the state dir cost: the corrupt log bytes
+// dropped and the job records skipped.
+func (s *Service) Recovered() (logBytes, skippedRecords int64) {
+	return s.results.RecoveredBytes(), s.Metrics.JobRecordsSkipped.Value()
 }
 
 // publishLocked fans an event out to the job's subscribers (non-blocking;
@@ -426,7 +411,7 @@ func (s *Service) finishLocked(j *job, state State, result *JobResult, errMsg st
 	case StateCanceled:
 		s.Metrics.JobsCanceled.Inc()
 	}
-	s.persistLocked(j)
+	s.logLocked(j, nil, nil)
 	st := s.statusLocked(j)
 	s.publishLocked(j, Event{Type: "result", Job: &st})
 	for k, ch := range j.subs {
@@ -460,7 +445,7 @@ func (s *Service) runJob(j *job) {
 	j.cancel = cancel
 	s.Metrics.JobWaitNS.Observe(now.Sub(j.Submitted).Nanoseconds())
 	s.Metrics.JobsRunning.Add(1)
-	s.persistLocked(j)
+	s.logLocked(j, nil, nil)
 	st := s.statusLocked(j)
 	s.publishLocked(j, Event{Type: "status", Job: &st})
 	s.mu.Unlock()
@@ -480,7 +465,7 @@ func (s *Service) runJob(j *job) {
 		// process resumes from here.
 		j.State = StateQueued
 		j.cancel = nil
-		s.persistLocked(j)
+		s.logLocked(j, nil, nil)
 		st := s.statusLocked(j)
 		s.publishLocked(j, Event{Type: "status", Job: &st})
 	default:
@@ -506,6 +491,7 @@ type jobRun struct {
 func (s *Service) runKind(ctx context.Context, j *job) (*JobResult, error) {
 	s.mu.Lock()
 	r := &jobRun{s: s, j: j, cp: j.checkpoint}
+	j.checkpoint = nil // the run owns it now
 	if r.cp != nil {
 		j.Resumed++
 		s.Metrics.JobsResumed.Inc()
@@ -538,16 +524,17 @@ func (r *jobRun) progress(p *Progress) {
 	r.s.mu.Unlock()
 }
 
-// commit records a unit boundary: the checkpoint is persisted, the progress
-// published to stream subscribers, and the result store synced — checkpoint
-// cadence doubles as store durability cadence. cp must be a frozen copy:
-// the kind's accumulator keeps growing after it is persisted.
+// commit records a unit boundary: it logs the cursor plus the units finished
+// since the previous commit (cp), publishes the progress to stream
+// subscribers, and syncs the state log — checkpoint cadence doubles as store
+// durability cadence. The batches a commit counts were appended before it,
+// so a commit that survives a crash keeps them.
 func (r *jobRun) commit(cp *Checkpoint, p *Progress) {
 	s, j := r.s, r.j
 	s.mu.Lock()
-	j.checkpoint, j.Progress = cp, p
+	j.Progress = p
 	s.Metrics.Checkpoints.Inc()
-	s.persistLocked(j)
+	s.logLocked(j, nil, cp)
 	ev := *p
 	s.publishLocked(j, Event{Type: "progress", Progress: &ev})
 	s.mu.Unlock()

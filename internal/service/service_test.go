@@ -443,33 +443,49 @@ func TestRestartReenqueuesWholeBacklog(t *testing.T) {
 
 // TestRestartKeepsJobStatus: a restarted service shows a finished job as
 // the process that ran it did — its state, result, progress and its
-// submission, start and finish times.
+// submission, start and finish times. A sweep's and a proof's terminal
+// records leave their unit lists to the commits, and the restart puts them
+// back.
 func TestRestartKeepsJobStatus(t *testing.T) {
-	dir := t.TempDir()
-	s, err := New(Config{Workers: 1, StateDir: dir, CheckpointEveryRuns: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.Submit(campaignRequest(128, "prime"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := waitTerminal(t, s, st.ID)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if before.State != StateDone || before.Result == nil || before.Progress == nil || before.Started == nil || before.Finished == nil {
-		t.Fatalf("finished job %+v lacks part of the status a restart must keep", before)
-	}
+	design := DesignSpec{Cipher: "present80", Scheme: "three-in-one", Entropy: "prime"}
+	for _, tc := range []struct {
+		name string
+		req  JobRequest
+	}{
+		{"campaign", campaignRequest(128, "prime")},
+		{"multifault", JobRequest{Kind: KindMultiFault, Design: design, MultiFault: &MultiFaultSpec{
+			K: 2, Sboxes: []int{13}, RunsPerTuple: 64, Seed: 0x5C0E, Key: testKey,
+		}}},
+		{"prove", JobRequest{Kind: KindProve, Design: design, Prove: &ProveSpec{Models: []string{"bit-flip"}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := New(Config{Workers: 1, StateDir: dir, CheckpointEveryRuns: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := s.Submit(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := waitTerminal(t, s, st.ID)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if before.State != StateDone || before.Result == nil || before.Progress == nil || before.Started == nil || before.Finished == nil {
+				t.Fatalf("finished job %+v lacks part of the status a restart must keep", before)
+			}
 
-	after, err := newTestService(t, Config{Workers: 1, StateDir: dir}).Get(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := json.Marshal(before)
-	a, _ := json.Marshal(after)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("status after a restart\n %s\nwant\n %s", a, b)
+			after, err := newTestService(t, Config{Workers: 1, StateDir: dir}).Get(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := json.Marshal(before)
+			a, _ := json.Marshal(after)
+			if !bytes.Equal(a, b) {
+				t.Fatalf("status after a restart\n %s\nwant\n %s", a, b)
+			}
+		})
 	}
 }
 

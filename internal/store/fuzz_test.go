@@ -89,26 +89,35 @@ func FuzzBatchRecordCodec(f *testing.F) {
 // bytes, Open must succeed — corruption costs cache entries, never the store
 // — and the recovered store must accept and persist new records.
 func FuzzLogRecovery(f *testing.F) {
-	// Seed with a valid two-record log, a torn tail and pure garbage.
-	valid := func() []byte {
+	// Seed with a valid two-record log, a torn tail, a log holding a job
+	// record beside the other two kinds, and pure garbage.
+	seedLog := func(put func(s *Store)) []byte {
 		dir := f.TempDir()
 		path := filepath.Join(dir, "seed.log")
 		s, err := Open(path)
 		if err != nil {
 			f.Fatal(err)
 		}
-		addr := testKey(11).Digest()
-		s.PutBatch(BatchKey{Campaign: addr, Batch: 0, Runs: 64}, batchCounts(64, 1))
-		s.PutRun(RunRecord{ID: "j000001", State: "done"})
+		put(s)
 		s.Close()
 		b, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
 		return b
-	}()
+	}
+	addr := testKey(11).Digest()
+	valid := seedLog(func(s *Store) {
+		s.PutBatch(BatchKey{Campaign: addr, Batch: 0, Runs: 64}, batchCounts(64, 1))
+		s.PutRun(RunRecord{ID: "j000001", State: "done"})
+	})
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
+	f.Add(seedLog(func(s *Store) {
+		s.PutBatch(BatchKey{Campaign: addr, Batch: 0, Runs: 64}, batchCounts(64, 1))
+		s.PutRun(RunRecord{ID: "j000001", State: "running"})
+		s.PutJob([]byte(`{"id":"j000001","kind":"campaign","state":"running","checkpoint":{"next_batch":1,"counts":{"total":64}}}`))
+	}))
 	f.Add([]byte("not a log at all"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

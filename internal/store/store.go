@@ -1,6 +1,5 @@
-// Package store is the embedded, dependency-free result store behind
-// sconed's incremental-replay path. It persists two record kinds in one
-// append-only log:
+// Package store is the embedded, dependency-free durable log behind sconed's
+// state dir. It persists three record kinds in one append-only log:
 //
 //   - batch records: the outcome tally of one completed campaign batch,
 //     keyed by content address — (netlist digest, engine version, cipher
@@ -15,16 +14,26 @@
 //     final counts). The last record per ID wins on reload, so a run is
 //     updated by appending.
 //
+//   - job records: the service's job state — lifecycle changes and
+//     checkpoint deltas — as opaque JSON the service owns and folds itself
+//     (Jobs).
+//
 // Crash safety follows the CRC-framed incremental database idiom: every
 // record is length-prefixed and CRC32-checked, writes are append-only, and
-// Open truncates the log at the first bad frame. A torn tail or corrupted
-// region costs only cache entries — the store stays usable and the lost
-// batches are simply re-simulated.
+// Open truncates the log at the first bad frame. What survives is therefore
+// always a prefix of what was written: a record that survives keeps every
+// record appended before it, so a surviving job commit keeps the batches it
+// counts. A torn tail or corrupted region costs the damaged record and all
+// that follows — lost batches are re-simulated, lost run records are gone,
+// and a job resumes from its last surviving commit (one whose every record
+// was cut is gone) — and Open reports the bytes it dropped (RecoveredBytes,
+// scone_store_recovered_bytes).
 package store
 
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -40,6 +49,7 @@ import (
 const (
 	recBatch = 'B'
 	recRun   = 'R'
+	recJob   = 'J'
 
 	frameHeaderLen = 1 + 4 + 4
 
@@ -47,6 +57,10 @@ const (
 	// huge allocation nor skip the scanner past gigabytes of log.
 	maxPayload = 8 << 20
 )
+
+// ErrTooLarge is returned for a record whose payload exceeds the 8 MiB frame
+// cap; nothing is written.
+var ErrTooLarge = errors.New("store: record exceeds the 8 MiB frame cap")
 
 // Store is a content-addressed campaign result store backed by one
 // append-only log file. All methods are safe for concurrent use, and every
@@ -61,6 +75,7 @@ type Store struct {
 	batches  map[BatchKey]Counts
 	runs     map[string]RunRecord
 	runOrder []string
+	jobs     [][]byte // job records replayed by Open, until Jobs hands them over
 
 	recovered int64 // bytes truncated by corruption recovery at Open
 
@@ -138,7 +153,7 @@ func (s *Store) scanRecord(off, total int64, hdr []byte, payload *[]byte) bool {
 		return false
 	}
 	typ := hdr[0]
-	if typ != recBatch && typ != recRun {
+	if typ != recBatch && typ != recRun && typ != recJob {
 		return false
 	}
 	n := int64(binary.LittleEndian.Uint32(hdr[1:5]))
@@ -171,6 +186,8 @@ func (s *Store) scanRecord(off, total int64, hdr []byte, payload *[]byte) bool {
 			s.runOrder = append(s.runOrder, rec.ID)
 		}
 		s.runs[rec.ID] = rec
+	case recJob:
+		s.jobs = append(s.jobs, append([]byte(nil), p...))
 	}
 	return true
 }
@@ -181,7 +198,7 @@ func (s *Store) append(typ byte, payload []byte) error {
 		return fmt.Errorf("store: closed")
 	}
 	if len(payload) > maxPayload {
-		return fmt.Errorf("store: record payload %d exceeds limit", len(payload))
+		return fmt.Errorf("%w (%d bytes)", ErrTooLarge, len(payload))
 	}
 	buf := make([]byte, frameHeaderLen+len(payload))
 	buf[0] = typ
@@ -314,6 +331,34 @@ func (s *Store) PutRun(rec RunRecord) error {
 	}
 	s.runs[rec.ID] = rec
 	return nil
+}
+
+// PutJob appends one job record. The payload is the service's; the store
+// only frames it.
+func (s *Store) PutJob(payload []byte) error {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.append(recJob, payload); err != nil {
+		s.putErrs.Inc()
+		return err
+	}
+	return nil
+}
+
+// Jobs hands over the job records Open replayed, in log order, and drops the
+// store's copy: the service folds them once, at startup.
+func (s *Store) Jobs() [][]byte {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	recs := s.jobs
+	s.jobs = nil
+	return recs
 }
 
 // Run returns one run record by ID.

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -271,6 +272,68 @@ func TestStoreRecoversFromMidFileCorruption(t *testing.T) {
 	}
 }
 
+// TestStoreJobRecords: job records are opaque payloads kept in log order
+// among the other kinds. Open hands them over once, a payload over the frame
+// cap is refused without writing, and a torn job record costs only itself
+// and what follows it.
+func TestStoreJobRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "r.log")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := testKey(5).Digest()
+	jobs := [][]byte{[]byte(`{"id":"j000000","state":"queued"}`), []byte(`{"id":"j000000","state":"running"}`), []byte(`{"id":"j000000","state":"done"}`)}
+	for i, p := range jobs {
+		if err := s.PutBatch(BatchKey{Campaign: addr, Batch: i, Runs: 64}, batchCounts(64, i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutJob(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.PutJob(make([]byte, maxPayload+1)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("oversized job record: %v, want ErrTooLarge", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.Jobs(); !reflect.DeepEqual(got, jobs) || s2.RecoveredBytes() != 0 {
+		t.Fatalf("reopened job records %q (recovered %d), want %q", got, s2.RecoveredBytes(), jobs)
+	}
+	if got := s2.Jobs(); got != nil {
+		t.Fatalf("second Jobs call returned %q, want nothing", got)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Tear the last job record: the batch before it survives.
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if got := s3.Jobs(); !reflect.DeepEqual(got, jobs[:2]) || s3.BatchCount() != 3 {
+		t.Fatalf("after a torn job record: %q and %d batches, want %q and 3", got, s3.BatchCount(), jobs[:2])
+	}
+	if want := int64(frameHeaderLen + len(jobs[2]) - 3); s3.RecoveredBytes() != want {
+		t.Fatalf("recovered %d bytes, want %d", s3.RecoveredBytes(), want)
+	}
+}
+
 func TestStoreMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := Open(filepath.Join(t.TempDir(), "r.log"))
@@ -301,6 +364,9 @@ func TestNilStoreIsNoop(t *testing.T) {
 	}
 	if err := s.PutRun(RunRecord{}); err != nil {
 		t.Fatal(err)
+	}
+	if err := s.PutJob([]byte("{}")); err != nil || s.Jobs() != nil {
+		t.Fatalf("nil store job records: err %v", err)
 	}
 	if s.Runs() != nil || s.BatchCount() != 0 || s.RecoveredBytes() != 0 {
 		t.Fatal("nil store reported contents")
